@@ -652,6 +652,43 @@ func BenchmarkSorterInsertExtract(b *testing.B) {
 	}
 }
 
+// BenchmarkSorterRemove times a timer cancel on the 20-bit deadline
+// geometry: 64 entries share each of 256 deadlines, and each iteration
+// cancels the newest entry of one deadline (walking its whole group)
+// and re-arms it. It reports the fabric accesses charged per
+// iteration.
+func BenchmarkSorterRemove(b *testing.B) {
+	const (
+		deadlines = 256
+		perTag    = 64
+	)
+	s, err := New(timersConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	for p := 0; p < deadlines*perTag; p++ {
+		if err := s.Insert(p%deadlines, p); err != nil {
+			b.Fatal(err)
+		}
+	}
+	before := s.Fabric().StatsSnapshot().Accesses()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		// The last payload armed on deadline d; re-arming keeps it the
+		// newest.
+		d := i % deadlines
+		p := (perTag-1)*deadlines + d
+		if found, err := s.Remove(d, p); err != nil || !found {
+			b.Fatalf("Remove(%d, %d) = %v, %v", d, p, found, err)
+		}
+		if err := s.Insert(d, p); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(s.Fabric().StatsSnapshot().Accesses()-before)/float64(b.N), "accesses/op")
+}
+
 // TestCombinedWindowSameTag pins the simultaneous same-tag corner of
 // the combined window: when the arriving tag equals the departing
 // minimum, the old entry must depart (it was committed at the window

@@ -24,11 +24,15 @@
 // cycle its bank port is free — and EndWindow advances the clock by the
 // schedule's span.
 //
-// The fabric keeps a preallocated ring of access records instead of
-// per-access closures: the hot path allocates nothing, the fault layer
-// interposes through the Observer seam (called synchronously with a
-// record that carries bank/port/cycle coordinates), and the metrics
-// layer drains the ring or the per-bank counters after the fact.
+// An access costs only the scheduling arithmetic, the region and bank
+// counters, and the data word. A record of the access is built only
+// when an Observer is installed and the region is not a register
+// region: the fabric fills its one Access in place and hands the
+// observer a pointer to it, valid only during that Observe (and, for
+// a write, AfterWrite) call. The hot path allocates nothing either
+// way, the fault layer interposes through the Observer seam with
+// bank/port/cycle coordinates, and the metrics layer reads the region
+// and bank counters after the fact.
 package membus
 
 import (
@@ -140,8 +144,10 @@ type BankStats struct {
 }
 
 // Access is one functional memory access as scheduled by the arbiter.
-// Records live in the fabric's preallocated ring; a pointer passed to
-// an Observer is valid only for the duration of the call.
+// The fabric owns a single record and refills it for each observed
+// access: a pointer passed to an Observer is valid only for the
+// duration of the call, and an observer that needs the record later
+// must copy it.
 type Access struct {
 	Region *Region
 	Addr   int
@@ -170,10 +176,6 @@ type Observer interface {
 	AfterWrite(r *Region, a *Access) error
 }
 
-// ringSize is the capacity of the fabric's preallocated access-record
-// ring (most-recent accesses retained for trace draining).
-const ringSize = 512
-
 // Fabric is one clock domain's memory fabric. Not safe for concurrent
 // use: like the circuits above it, it models a single synchronous
 // pipeline.
@@ -182,9 +184,8 @@ type Fabric struct {
 	regions []*Region
 	byName  map[string]*Region
 	obs     Observer
-	ring    [ringSize]Access
-	ringLen int // records written, capped at ringSize
-	seq     uint64
+	acc     Access // the record offered to obs, refilled per access
+	seq     uint64 // accesses so far, observed or not
 }
 
 // New builds an empty fabric over the given clock domain. A nil clock
@@ -293,36 +294,6 @@ func (f *Fabric) ResetStats() {
 	}
 }
 
-// Trace copies the most recent access records into buf (oldest first)
-// and returns the filled prefix. Passing a preallocated buffer makes
-// draining allocation-free.
-func (f *Fabric) Trace(buf []Access) []Access {
-	n := f.ringLen
-	if n > ringSize {
-		n = ringSize
-	}
-	if n > len(buf) {
-		n = len(buf)
-	}
-	start := f.ringLen - n
-	for i := 0; i < n; i++ {
-		buf[i] = f.ring[(start+i)%ringSize]
-	}
-	return buf[:n]
-}
-
-// record writes the next access record into the ring and returns it.
-func (f *Fabric) record(r *Region, addr, bank, port int, write bool, cycle, stall uint64) *Access {
-	f.seq++
-	a := &f.ring[f.ringLen%ringSize]
-	f.ringLen++
-	if f.ringLen >= 2*ringSize {
-		f.ringLen -= ringSize // keep the cursor bounded without losing ring fullness
-	}
-	*a = Access{Region: r, Addr: addr, Bank: bank, Port: port, Write: write, Cycle: cycle, Stall: stall, Seq: f.seq}
-	return a
-}
-
 // bankState tracks one bank's two port schedules and counters.
 type bankState struct {
 	freeAt [2]uint64 // cycle at which each port is next free
@@ -422,18 +393,30 @@ func (r *Region) EndWindow() int {
 // InWindow reports whether an operation window is open.
 func (r *Region) InWindow() bool { return r.windowActive }
 
+// checkAddr is small enough to inline into the access paths; the
+// error is built out of line.
 func (r *Region) checkAddr(op string, addr int) error {
-	if addr < 0 || addr >= r.cfg.Depth {
-		return fmt.Errorf("%w: %s %q[%d], depth %d", hwsim.ErrAddressRange, op, r.cfg.Name, addr, r.cfg.Depth)
+	if uint(addr) >= uint(len(r.words)) {
+		return r.addrError(op, addr)
 	}
 	return nil
 }
 
-// schedule arbitrates one access onto its bank port and returns the
-// ring record. It charges the clock in sequential mode; in window mode
-// the clock is charged collectively by EndWindow.
+//go:noinline
+func (r *Region) addrError(op string, addr int) error {
+	return fmt.Errorf("%w: %s %q[%d], depth %d", hwsim.ErrAddressRange, op, r.cfg.Name, addr, r.cfg.Depth)
+}
+
+// schedule arbitrates one access onto its bank port. It charges the
+// clock in sequential mode; in window mode the clock is charged
+// collectively by EndWindow. It returns the fabric's access record,
+// filled in, when the access is offered to an Observer, and nil
+// otherwise.
 func (r *Region) schedule(addr int, write bool) *Access {
-	bank := addr % len(r.banks)
+	bank := 0
+	if len(r.banks) > 1 {
+		bank = addr % len(r.banks)
+	}
 	b := &r.banks[bank]
 	port := PortA
 	if write && r.cfg.Ports == PortSplit {
@@ -482,7 +465,13 @@ func (r *Region) schedule(addr int, write bool) *Access {
 	if stall > 0 {
 		r.stats.Conflicts++
 	}
-	return r.f.record(r, addr, bank, port, write, start, stall)
+	f := r.f
+	f.seq++
+	if f.obs == nil || r.cfg.Register {
+		return nil
+	}
+	f.acc = Access{Region: r, Addr: addr, Bank: bank, Port: port, Write: write, Cycle: start, Stall: stall, Seq: f.seq}
+	return &f.acc
 }
 
 // Peek returns the word at addr without counting an access — the
@@ -538,9 +527,8 @@ func (p *Port) Read(addr int) (uint64, error) {
 	if err := r.checkAddr("read", addr); err != nil {
 		return 0, err
 	}
-	a := r.schedule(addr, false)
 	var xor uint64
-	if r.f.obs != nil && !r.cfg.Register {
+	if a := r.schedule(addr, false); a != nil {
 		x, err := r.f.obs.Observe(r, a)
 		if err != nil {
 			return 0, err
@@ -557,13 +545,13 @@ func (p *Port) Write(addr int, val uint64) error {
 		return err
 	}
 	a := r.schedule(addr, true)
-	if r.f.obs != nil && !r.cfg.Register {
+	if a != nil {
 		if _, err := r.f.obs.Observe(r, a); err != nil {
 			return err
 		}
 	}
 	r.words[addr] = val & r.mask
-	if r.f.obs != nil && !r.cfg.Register {
+	if a != nil {
 		if err := r.f.obs.AfterWrite(r, a); err != nil {
 			return err
 		}

@@ -388,41 +388,51 @@ func TestObserverSkipsRegisterRegions(t *testing.T) {
 	}
 }
 
+// TestTraceRingDrain traces accesses through the Observer seam: each
+// observed record carries the access's address, direction and
+// fabric-wide sequence number, and accesses made while no observer is
+// installed still advance the sequence.
 func TestTraceRingDrain(t *testing.T) {
 	f := New(nil)
 	r := mustRegion(t, f, RegionConfig{Name: "m", Depth: 8, WordBits: 8})
 	p := r.Port()
+	obs := &traceObserver{}
+	f.SetObserver(obs)
 	for i := 0; i < 5; i++ {
 		if err := p.Write(i, uint64(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	buf := make([]Access, 16)
-	got := f.Trace(buf)
-	if len(got) != 5 {
-		t.Fatalf("trace holds %d records, want 5", len(got))
+	if len(obs.seen) != 5 {
+		t.Fatalf("trace holds %d records, want 5", len(obs.seen))
 	}
-	for i, a := range got {
+	for i, a := range obs.seen {
 		if a.Addr != i || !a.Write || a.Seq != uint64(i+1) {
 			t.Fatalf("record %d = %+v, want write of addr %d seq %d", i, a, i, i+1)
 		}
 	}
-	// Overflow the ring and check the oldest records are evicted.
-	for i := 0; i < ringSize+3; i++ {
+	// N further reads, all but the last unobserved; an observer
+	// installed after them still sees the fabric-wide numbering.
+	const n = 515
+	f.SetObserver(nil)
+	for i := 0; i < n-1; i++ {
 		if _, err := p.Read(i % 8); err != nil {
 			t.Fatal(err)
 		}
 	}
-	full := f.Trace(make([]Access, ringSize))
-	if len(full) != ringSize {
-		t.Fatalf("full trace holds %d, want %d", len(full), ringSize)
+	late := &traceObserver{}
+	f.SetObserver(late)
+	if _, err := p.Read(6); err != nil {
+		t.Fatal(err)
 	}
-	wantLastSeq := uint64(5 + ringSize + 3)
-	if full[len(full)-1].Seq != wantLastSeq {
-		t.Fatalf("newest record seq %d, want %d", full[len(full)-1].Seq, wantLastSeq)
+	if len(late.seen) != 1 {
+		t.Fatalf("late observer saw %d records, want 1", len(late.seen))
 	}
-	if full[0].Seq != wantLastSeq-ringSize+1 {
-		t.Fatalf("oldest record seq %d, want %d", full[0].Seq, wantLastSeq-ringSize+1)
+	if a := late.seen[0]; a.Addr != 6 || a.Write || a.Seq != 5+n {
+		t.Fatalf("late record %+v, want read of addr 6 seq %d", a, 5+n)
+	}
+	if len(obs.seen) != 5 {
+		t.Fatalf("detached observer saw %d records, want 5", len(obs.seen))
 	}
 }
 
