@@ -1,17 +1,15 @@
 // Command wfqlint runs the repository's invariant analyzers over Go
-// packages. Five hardware-model analyzers guard the cycle-accurate
+// packages. Four hardware-model analyzers guard the cycle-accurate
 // core:
 //
-//	storeseam     — functional datapath traffic goes through hwsim.Store;
-//	                Peek/Poke debug ports only in audit/debug files
 //	portseam      — datapath memory traffic goes through *membus.Port;
-//	                no raw hwsim memory construction or Store-typed I/O
+//	                region Peek/Poke debug ports only in audit/debug files
 //	errcorrupt    — corruption errors wrap hwsim.ErrCorrupt with %w and
 //	                are classified with errors.Is
 //	determinism   — no wall-clock time, no global math/rand, no
 //	                order-leaking map iteration
 //	cyclecharge   — literal cycle charges match documented costs; audit
-//	                files issue no clock-charged Store or Port traffic
+//	                files issue no clock-charged Port traffic
 //
 // Four concurrency-and-lifecycle analyzers guard the parallel serving
 // runtime:
@@ -30,7 +28,7 @@
 // Usage:
 //
 //	go run ./cmd/wfqlint ./...
-//	go run ./cmd/wfqlint -only storeseam,errcorrupt ./internal/...
+//	go run ./cmd/wfqlint -only portseam,errcorrupt ./internal/...
 //	go run ./cmd/wfqlint -json ./... > diagnostics.json
 //
 // Exit status: 0 clean, 1 diagnostics reported (including stale ignore
@@ -65,12 +63,10 @@ import (
 	"wfqsort/internal/analysis/laneconfine"
 	"wfqsort/internal/analysis/locksafe"
 	"wfqsort/internal/analysis/portseam"
-	"wfqsort/internal/analysis/storeseam"
 )
 
 // All is the full analyzer suite, in reporting order.
 var All = []*analysis.Analyzer{
-	storeseam.Analyzer,
 	portseam.Analyzer,
 	errcorrupt.Analyzer,
 	determinism.Analyzer,

@@ -113,7 +113,7 @@ func TestStaleSkippedUnderOnly(t *testing.T) {
 	dir := writeModule(t, map[string]string{
 		"pkg/pkg.go": "package pkg\n\n//wfqlint:ignore locksafe owned by an analyzer this run skips\nfunc Add(a, b int) int { return a + b }\n",
 	})
-	code, out, _ := runWfqlint(t, dir, "-only", "storeseam", "./...")
+	code, out, _ := runWfqlint(t, dir, "-only", "portseam", "./...")
 	if code != 0 {
 		t.Fatalf("exit %d, want 0\nstdout: %s", code, out)
 	}
@@ -155,7 +155,7 @@ func TestBudgetReport(t *testing.T) {
 	// The file directive is unused (nothing to suppress) — under the
 	// full run that is stale, so restrict to a set excluding
 	// determinism to keep the run clean and still see the budget.
-	code, out, _ := runWfqlint(t, dir, "-only", "storeseam,portseam", "-budget", "./...")
+	code, out, _ := runWfqlint(t, dir, "-only", "portseam", "-budget", "./...")
 	if code != 0 {
 		t.Fatalf("exit %d, want 0\nstdout: %s", code, out)
 	}

@@ -1,7 +1,7 @@
 // Package analysis is a self-contained, dependency-free re-implementation
 // of the golang.org/x/tools/go/analysis driver surface, built on the
 // standard library's go/ast, go/parser and go/types. It exists because
-// this repository vendors nothing: the wfqlint analyzers (storeseam,
+// this repository vendors nothing: the wfqlint analyzers (portseam,
 // errcorrupt, determinism, cyclecharge) encode hardware-model invariants
 // that the paper states in clock cycles and memory accesses, and they
 // must run anywhere the repo builds — including offline CI — with no

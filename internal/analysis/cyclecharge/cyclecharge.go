@@ -1,9 +1,9 @@
 // Package cyclecharge guards the cycle-accounting contract of the
 // hardware model. The paper's guarantees are stated in clock cycles, so
-// the repo charges cycles in exactly one place — the hwsim memory
-// models advance the clock as a side effect of Store traffic — and
-// everything layered above must keep its documented cycle budget
-// honest. Two drift modes are flagged:
+// the repo charges cycles in exactly one place — the membus fabric
+// advances the clock as a side effect of port traffic — and everything
+// layered above must keep its documented cycle budget honest. Two drift
+// modes are flagged:
 //
 //  1. An exported operation that calls Clock.Advance with a bare
 //     integer literal (or Clock.Tick) not backed by a documented cycle
@@ -14,11 +14,11 @@
 //     the analyzer accepts a literal when the doc comment mentions the
 //     same number of cycles or carries a "wfqlint:cycles N" marker.
 //
-//  2. Functional Store.Read/Write traffic inside audit*/debug*/dump*
-//     files. Audit code models scrub engines with private read ports:
-//     it must observe memory through Peek so it does not perturb the
-//     access counters or the clock of the run it is auditing (the
-//     mirror image of the storeseam rule, which bans Peek from
+//  2. Functional membus.Port Read/Write traffic inside audit*/debug*/
+//     dump* files. Audit code models scrub engines with private read
+//     ports: it must observe memory through Peek so it does not perturb
+//     the access counters or the clock of the run it is auditing (the
+//     mirror image of the portseam rule, which bans Peek from
 //     functional files).
 package cyclecharge
 
@@ -39,8 +39,8 @@ const HwsimPath = "wfqsort/internal/hwsim"
 const MembusPath = "wfqsort/internal/membus"
 
 // exemptPackages are the packages that implement the seam itself: hwsim
-// and the membus fabric charge the clock inside the memory models, and
-// the fault injector deliberately interposes on raw memory.
+// owns the clock, the membus fabric charges it inside the port arbiter,
+// and the fault injector deliberately interposes on raw memory.
 var exemptPackages = map[string]bool{
 	HwsimPath:                true,
 	MembusPath:               true,
@@ -51,7 +51,7 @@ var exemptPackages = map[string]bool{
 var Analyzer = &analysis.Analyzer{
 	Name: "cyclecharge",
 	Doc: "literal cycle charges must match their documented cost; audit " +
-		"files must not issue clock-charged Store traffic",
+		"files must not issue clock-charged port traffic",
 	Run: run,
 }
 
@@ -198,7 +198,7 @@ func countsList(counts map[int]bool) string {
 	return strings.Join(parts, ", ")
 }
 
-// checkAuditTraffic flags functional Store traffic in audit-style files.
+// checkAuditTraffic flags functional port traffic in audit-style files.
 func checkAuditTraffic(pass *analysis.Pass, f *ast.File) {
 	base := pass.Filename(f.Pos())
 	if !strings.HasPrefix(base, "audit") && !strings.HasPrefix(base, "debug") &&
@@ -218,21 +218,10 @@ func checkAuditTraffic(pass *analysis.Pass, f *ast.File) {
 		if name != "Read" && name != "Write" {
 			return true
 		}
-		t := pass.TypeOf(sel.X)
-		if t == nil {
-			return true
-		}
-		if analysis.IsNamed(t, HwsimPath, "SRAM") ||
-			analysis.IsNamed(t, HwsimPath, "RegisterFile") ||
-			analysis.IsNamed(t, HwsimPath, "Store") ||
-			analysis.IsNamed(t, MembusPath, "Port") {
-			kind := "Store"
-			if analysis.IsNamed(t, MembusPath, "Port") {
-				kind = "membus.Port"
-			}
+		if t := pass.TypeOf(sel.X); t != nil && analysis.IsNamed(t, MembusPath, "Port") {
 			pass.Reportf(call.Pos(),
-				"%s issues clock-charged %s traffic from audit file %s; scrub engines observe through Peek so the audited run's accounting is undisturbed",
-				name, kind, base)
+				"%s issues clock-charged membus.Port traffic from audit file %s; scrub engines observe through Peek so the audited run's accounting is undisturbed",
+				name, base)
 		}
 		return true
 	})

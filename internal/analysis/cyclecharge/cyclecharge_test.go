@@ -14,8 +14,8 @@ func TestCyclecharge(t *testing.T) {
 }
 
 func TestCyclechargeExemptsSeamPackages(t *testing.T) {
-	// hwsim itself charges the clock inside the memory models and the
-	// fault injector interposes on raw memory; both are exempt.
+	// hwsim owns the clock and the fault injector interposes on raw
+	// memory; both are exempt.
 	l, err := analysis.NewLoader(".")
 	if err != nil {
 		t.Fatalf("loader: %v", err)

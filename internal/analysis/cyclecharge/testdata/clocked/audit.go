@@ -1,24 +1,12 @@
 package clocked
 
-// AuditScan walks memory from an audit file: the functional Read here
-// is charged to the clock and perturbs the audited run's accounting.
-func (e *Engine) AuditScan() (uint64, error) {
-	return e.store.Read(0) // want `Read issues clock-charged Store traffic from audit file audit.go`
-}
-
-// AuditRepairWrite repairs through the functional port from an audit
-// file, also flagged.
-func (e *Engine) AuditRepairWrite(addr int, w uint64) error {
-	return e.store.Write(addr, w) // want `Write issues clock-charged Store traffic from audit file audit.go`
-}
-
 // AuditPortScan walks memory through the fabric port from an audit
-// file: scheduled by the arbiter, charged to the clock, also flagged.
+// file: scheduled by the arbiter and charged to the clock, so flagged.
 func (e *Engine) AuditPortScan() (uint64, error) {
 	return e.port.Read(0) // want `Read issues clock-charged membus\.Port traffic from audit file audit.go`
 }
 
-// AuditComposite calls higher-level operations; only direct Store
+// AuditComposite calls higher-level operations; only direct port
 // traffic is flagged, so this is the false-positive guard (recovery
 // engines like Rebuild legitimately pay functional cost through
 // package APIs).

@@ -12,7 +12,6 @@ const WindowCycles = 4
 // Engine is a clock-domain structure.
 type Engine struct {
 	clock *hwsim.Clock
-	store hwsim.Store
 	port  *membus.Port
 }
 

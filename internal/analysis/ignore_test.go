@@ -46,10 +46,10 @@ func F() {}
 	}
 
 	// The directive names one analyzer; others must still report.
-	q, _ := parsePass(t, "storeseam", src)
+	q, _ := parsePass(t, "portseam", src)
 	q.buildIgnores()
 	if q.ignored(pos) {
-		t.Errorf("determinism-only directive suppressed storeseam")
+		t.Errorf("determinism-only directive suppressed portseam")
 	}
 }
 

@@ -1,30 +1,29 @@
 // Package portseam enforces the fabric-port invariant of the banked
-// memory model: functional datapath code must address memory
-// exclusively through *membus.Port — the arbitrated functional port of
-// a fabric region — never by constructing raw hwsim memories and never
-// by issuing Read/Write on the hwsim.SRAM, hwsim.RegisterFile, or
-// hwsim.Store seam directly.
+// memory model: functional datapath code reaches memory only through
+// *membus.Port — the arbitrated functional port of a fabric region —
+// and never through a region's Peek/Poke debug ports outside
+// audit*/debug*/dump* files.
 //
 // The port is what makes the fabric's guarantees hold: every access
 // that reaches a region through its Port is scheduled by the per-cycle
 // bank/port arbiter (so window lengths are derived, not hand-charged),
 // counted in the per-bank statistics, and exposed to the fault
-// observer with its bank/port/cycle coordinates. A datapath package
-// that news up its own SRAM or calls Read on a Store-typed field has
-// silently re-opened the private-memory escape hatch this refactor
-// closed: its traffic dodges the arbiter, the stall accounting, and
-// every fault campaign.
+// observer with its bank/port/cycle coordinates. A Peek or Poke on a
+// functional path dodges all of that — the arbiter, the counters, the
+// clock and every fault campaign — so the paper's cycle/access
+// guarantees stop being measured. Audit and debug code is the
+// deliberate exception: scrub engines observe the physical array
+// through Peek precisely so they do not perturb the traffic accounting
+// of the run they audit.
 package portseam
 
 import (
 	"go/ast"
 	"go/types"
+	"strings"
 
 	"wfqsort/internal/analysis"
 )
-
-// HwsimPath is the import path of the raw hardware-model package.
-const HwsimPath = "wfqsort/internal/hwsim"
 
 // MembusPath is the import path of the memory fabric whose Port type is
 // the only legal functional access path.
@@ -39,29 +38,48 @@ var DatapathPackages = map[string]bool{
 	"wfqsort/internal/core":       true,
 }
 
-// rawConstructors are the hwsim package-level constructors a datapath
-// package must not call: memory is provisioned from the lane fabric.
-var rawConstructors = map[string]bool{
-	"NewSRAM":             true,
-	"MustNewSRAM":         true,
-	"NewRegisterFile":     true,
-	"MustNewRegisterFile": true,
-}
-
 // Analyzer is the portseam analyzer.
 var Analyzer = &analysis.Analyzer{
 	Name: "portseam",
 	Doc: "functional datapath memory traffic goes through *membus.Port; " +
-		"no raw hwsim memory construction or hwsim-typed Read/Write",
+		"Peek/Poke debug ports only in audit/debug files",
 	Run: run,
 }
 
-// hwsimBacked reports whether t is a type whose Read/Write dodges the
-// fabric arbiter: the raw memory models or the hwsim.Store interface.
-func hwsimBacked(t types.Type) bool {
-	return analysis.IsNamed(t, HwsimPath, "SRAM") ||
-		analysis.IsNamed(t, HwsimPath, "RegisterFile") ||
-		analysis.IsNamed(t, HwsimPath, "Store")
+// debugFile reports whether base is a file where debug-port access is
+// legitimate: the audit/debug/dump files and tests.
+func debugFile(base string) bool {
+	return strings.HasPrefix(base, "audit") ||
+		strings.HasPrefix(base, "debug") ||
+		strings.HasPrefix(base, "dump") ||
+		strings.HasSuffix(base, "_test.go")
+}
+
+// peekSignature reports whether sig is the debug-port shape
+// func(int) (uint64, error) or func(int, uint64) error.
+func peekSignature(sig *types.Signature) bool {
+	p, r := sig.Params(), sig.Results()
+	switch {
+	case p.Len() == 1 && r.Len() == 2: // Peek
+		return isInt(p.At(0).Type()) && isUint64(r.At(0).Type()) && isError(r.At(1).Type())
+	case p.Len() == 2 && r.Len() == 1: // Poke
+		return isInt(p.At(0).Type()) && isUint64(p.At(1).Type()) && isError(r.At(0).Type())
+	}
+	return false
+}
+
+func isInt(t types.Type) bool {
+	b, ok := t.Underlying().(*types.Basic)
+	return ok && b.Kind() == types.Int
+}
+
+func isUint64(t types.Type) bool {
+	b, ok := t.Underlying().(*types.Basic)
+	return ok && b.Kind() == types.Uint64
+}
+
+func isError(t types.Type) bool {
+	return t.String() == "error"
 }
 
 func run(pass *analysis.Pass) error {
@@ -69,9 +87,16 @@ func run(pass *analysis.Pass) error {
 		return nil
 	}
 	for _, f := range pass.Files {
+		if debugFile(pass.Filename(f.Pos())) {
+			continue
+		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok {
+				return true
+			}
+			sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+			if !ok || (sel.Sel.Name != "Peek" && sel.Sel.Name != "Poke") {
 				return true
 			}
 			fn := analysis.CalleeFunc(pass.TypesInfo, call)
@@ -79,35 +104,37 @@ func run(pass *analysis.Pass) error {
 				return true
 			}
 			sig, ok := fn.Type().(*types.Signature)
-			if !ok {
-				return true
-			}
-			if sig.Recv() == nil {
-				if fn.Pkg() != nil && fn.Pkg().Path() == HwsimPath && rawConstructors[fn.Name()] {
-					pass.Reportf(call.Pos(),
-						"datapath constructs a private hwsim memory via %s; provision a membus.Region from the fabric and use its Port",
-						fn.Name())
-				}
-				return true
-			}
-			if fn.Name() != "Read" && fn.Name() != "Write" {
-				return true
-			}
-			sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-			if !ok {
+			if !ok || sig.Recv() == nil || !peekSignature(sig) {
 				return true
 			}
 			recv := pass.TypeOf(sel.X)
 			if recv == nil {
 				return true
 			}
-			if hwsimBacked(recv) {
+			if analysis.IsNamed(recv, MembusPath, "Region") || isDebugPortInterface(recv) {
 				pass.Reportf(call.Pos(),
-					"%s on %s bypasses the fabric port arbiter (unscheduled, unobserved access); route datapath traffic through *membus.Port",
-					fn.Name(), analysis.Deref(recv).String())
+					"%s debug port used in functional file %s (uncounted, unclocked access); move to an audit*/debug* file or use the region's *membus.Port",
+					fn.Name(), pass.Filename(call.Pos()))
 			}
 			return true
 		})
 	}
 	return nil
+}
+
+// isDebugPortInterface reports whether t is an interface exposing a
+// Peek/Poke-shaped method (a per-level peeker slice, for example).
+func isDebugPortInterface(t types.Type) bool {
+	iface, ok := analysis.Deref(t).Underlying().(*types.Interface)
+	if !ok {
+		return false
+	}
+	for i := 0; i < iface.NumMethods(); i++ {
+		m := iface.Method(i)
+		name := m.Name()
+		if (name == "Peek" || name == "Poke") && peekSignature(m.Type().(*types.Signature)) {
+			return true
+		}
+	}
+	return false
 }

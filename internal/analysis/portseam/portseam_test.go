@@ -17,8 +17,8 @@ func TestPortseam(t *testing.T) {
 
 func TestPortseamScope(t *testing.T) {
 	// The same sources loaded under a non-datapath path produce no
-	// diagnostics: infrastructure (hwsim, membus, fault, benches) may
-	// hold raw memories.
+	// diagnostics: infrastructure (membus, fault, benches) may use the
+	// debug ports anywhere.
 	l, err := analysis.NewLoader(".")
 	if err != nil {
 		t.Fatalf("loader: %v", err)

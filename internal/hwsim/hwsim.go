@@ -1,6 +1,8 @@
-// Package hwsim provides cycle-level hardware simulation primitives used by
-// the tag sort/retrieve circuit model: a global clock, single-port SRAM
-// models with access counting and configurable latency, and registers.
+// Package hwsim holds the clock-domain and error vocabulary shared by
+// the tag sort/retrieve circuit model: a global clock, the access
+// counters a memory region reports, and the sentinels for out-of-range
+// addresses and detected corruption. The memories themselves are
+// membus regions reached through their ports.
 //
 // The paper's central guarantee — the smallest tag is retrievable in a
 // fixed, predictable time — is stated in clock cycles and memory accesses
@@ -8,13 +10,22 @@
 // higher layer can assert them in tests and report them in benchmarks.
 package hwsim
 
-import (
-	"errors"
-	"fmt"
-)
+import "errors"
 
-// ErrAddressRange is returned by SRAM accesses outside [0, Depth).
+// ErrAddressRange is returned by fabric region accesses outside
+// [0, Depth).
 var ErrAddressRange = errors.New("hwsim: address out of range")
+
+// ErrCorrupt is the sentinel wrapped by every detected structural-
+// integrity violation in the memory-backed sorter structures (search
+// tree, translation table, tag store). The three memories hold one
+// logical data structure between them; when a cross-memory invariant
+// breaks — an empty node under a set marker bit, a broken list chain, a
+// dangling translation entry — the detecting layer wraps this sentinel
+// so that errors.Is(err, ErrCorrupt) holds across package boundaries
+// and the scheduler's recovery policy can distinguish corruption from
+// ordinary operational errors (full, empty, out of range).
+var ErrCorrupt = errors.New("corrupt state")
 
 // Clock models a synchronous clock domain. The zero value is a clock at
 // cycle zero and is ready to use.
@@ -43,7 +54,7 @@ func (c *Clock) Reset() {
 	c.cycle = 0
 }
 
-// AccessStats accumulates memory traffic counters for one SRAM instance.
+// AccessStats accumulates memory traffic counters for one memory region.
 type AccessStats struct {
 	Reads  uint64 // completed read operations
 	Writes uint64 // completed write operations
@@ -53,161 +64,4 @@ type AccessStats struct {
 // Accesses returns the total number of read and write operations.
 func (s AccessStats) Accesses() uint64 {
 	return s.Reads + s.Writes
-}
-
-// SRAMConfig describes the geometry and timing of a single-port SRAM.
-type SRAMConfig struct {
-	// Name identifies the memory in reports (e.g. "tree-level-2").
-	Name string
-	// Depth is the number of addressable words.
-	Depth int
-	// WordBits is the width of one word in bits (1..64). Values written
-	// are masked to this width.
-	WordBits int
-	// ReadCycles is the number of clock cycles one read occupies.
-	// Defaults to 1 when zero.
-	ReadCycles int
-	// WriteCycles is the number of clock cycles one write occupies.
-	// Defaults to 1 when zero.
-	WriteCycles int
-}
-
-// SRAM models a single-port synchronous SRAM block. Each access occupies
-// the port for a configurable number of cycles; the model counts accesses
-// and cycles rather than enforcing real-time blocking, because the circuit
-// architecture schedules accesses statically (e.g. the tag store's fixed
-// 2-read/2-write insert window).
-type SRAM struct {
-	cfg   SRAMConfig
-	mask  uint64
-	words []uint64
-	stats AccessStats
-	clock *Clock // optional; advanced on each access when non-nil
-}
-
-// NewSRAM builds an SRAM from cfg. The clock is optional: when non-nil it
-// is advanced by the access latency on every read and write so that
-// composed circuits account for memory time automatically.
-func NewSRAM(cfg SRAMConfig, clock *Clock) (*SRAM, error) {
-	if cfg.Depth <= 0 {
-		return nil, fmt.Errorf("hwsim: sram %q: depth %d must be positive", cfg.Name, cfg.Depth)
-	}
-	if cfg.WordBits <= 0 || cfg.WordBits > 64 {
-		return nil, fmt.Errorf("hwsim: sram %q: word width %d out of range 1..64", cfg.Name, cfg.WordBits)
-	}
-	if cfg.ReadCycles == 0 {
-		cfg.ReadCycles = 1
-	}
-	if cfg.WriteCycles == 0 {
-		cfg.WriteCycles = 1
-	}
-	if cfg.ReadCycles < 0 || cfg.WriteCycles < 0 {
-		return nil, fmt.Errorf("hwsim: sram %q: negative access latency", cfg.Name)
-	}
-	var mask uint64
-	if cfg.WordBits == 64 {
-		mask = ^uint64(0)
-	} else {
-		mask = (1 << uint(cfg.WordBits)) - 1
-	}
-	return &SRAM{
-		cfg:   cfg,
-		mask:  mask,
-		words: make([]uint64, cfg.Depth),
-		clock: clock,
-	}, nil
-}
-
-// MustNewSRAM is NewSRAM that panics on configuration errors. It is meant
-// for static circuit construction where the geometry is a compile-time
-// constant.
-func MustNewSRAM(cfg SRAMConfig, clock *Clock) *SRAM {
-	m, err := NewSRAM(cfg, clock)
-	if err != nil {
-		panic(err)
-	}
-	return m
-}
-
-// Config returns the memory's configuration.
-func (m *SRAM) Config() SRAMConfig {
-	return m.cfg
-}
-
-// Read returns the word at addr, counting one read access.
-func (m *SRAM) Read(addr int) (uint64, error) {
-	if addr < 0 || addr >= m.cfg.Depth {
-		return 0, fmt.Errorf("%w: read %q[%d], depth %d", ErrAddressRange, m.cfg.Name, addr, m.cfg.Depth)
-	}
-	m.stats.Reads++
-	m.stats.Cycles += uint64(m.cfg.ReadCycles)
-	if m.clock != nil {
-		m.clock.Advance(uint64(m.cfg.ReadCycles))
-	}
-	return m.words[addr], nil
-}
-
-// Write stores val (masked to the word width) at addr, counting one write.
-func (m *SRAM) Write(addr int, val uint64) error {
-	if addr < 0 || addr >= m.cfg.Depth {
-		return fmt.Errorf("%w: write %q[%d], depth %d", ErrAddressRange, m.cfg.Name, addr, m.cfg.Depth)
-	}
-	m.stats.Writes++
-	m.stats.Cycles += uint64(m.cfg.WriteCycles)
-	if m.clock != nil {
-		m.clock.Advance(uint64(m.cfg.WriteCycles))
-	}
-	m.words[addr] = val & m.mask
-	return nil
-}
-
-// Peek returns the word at addr without counting an access. It models a
-// verification/debug port, not a functional path.
-func (m *SRAM) Peek(addr int) (uint64, error) {
-	if addr < 0 || addr >= m.cfg.Depth {
-		return 0, fmt.Errorf("%w: peek %q[%d], depth %d", ErrAddressRange, m.cfg.Name, addr, m.cfg.Depth)
-	}
-	return m.words[addr], nil
-}
-
-// Poke stores val at addr without counting an access (test setup only).
-func (m *SRAM) Poke(addr int, val uint64) error {
-	if addr < 0 || addr >= m.cfg.Depth {
-		return fmt.Errorf("%w: poke %q[%d], depth %d", ErrAddressRange, m.cfg.Name, addr, m.cfg.Depth)
-	}
-	m.words[addr] = val & m.mask
-	return nil
-}
-
-// Stats returns a copy of the accumulated access counters.
-func (m *SRAM) Stats() AccessStats {
-	return m.stats
-}
-
-// ResetStats zeroes the access counters without touching memory contents.
-func (m *SRAM) ResetStats() {
-	m.stats = AccessStats{}
-}
-
-// Clear zeroes all words and the access counters.
-func (m *SRAM) Clear() {
-	for i := range m.words {
-		m.words[i] = 0
-	}
-	m.stats = AccessStats{}
-}
-
-// Wipe zeroes all words without touching the access counters. It models
-// a flash-style bulk initialization (the valid-bit clear of paper
-// §III-A's initialization mode), used by recovery paths that must not
-// perturb the traffic accounting of the run they repair.
-func (m *SRAM) Wipe() {
-	for i := range m.words {
-		m.words[i] = 0
-	}
-}
-
-// Bits returns the total storage capacity in bits (depth × word width).
-func (m *SRAM) Bits() int {
-	return m.cfg.Depth * m.cfg.WordBits
 }

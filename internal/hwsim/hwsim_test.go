@@ -1,10 +1,6 @@
 package hwsim
 
-import (
-	"errors"
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
 func TestClockTickAdvance(t *testing.T) {
 	var c Clock
@@ -21,216 +17,5 @@ func TestClockTickAdvance(t *testing.T) {
 	c.Reset()
 	if c.Now() != 0 {
 		t.Fatalf("after Reset clock at %d, want 0", c.Now())
-	}
-}
-
-func TestNewSRAMValidation(t *testing.T) {
-	tests := []struct {
-		name string
-		cfg  SRAMConfig
-		ok   bool
-	}{
-		{"valid", SRAMConfig{Name: "m", Depth: 8, WordBits: 16}, true},
-		{"full width", SRAMConfig{Name: "m", Depth: 1, WordBits: 64}, true},
-		{"zero depth", SRAMConfig{Name: "m", Depth: 0, WordBits: 16}, false},
-		{"negative depth", SRAMConfig{Name: "m", Depth: -4, WordBits: 16}, false},
-		{"zero width", SRAMConfig{Name: "m", Depth: 8, WordBits: 0}, false},
-		{"too wide", SRAMConfig{Name: "m", Depth: 8, WordBits: 65}, false},
-		{"negative read latency", SRAMConfig{Name: "m", Depth: 8, WordBits: 8, ReadCycles: -1}, false},
-		{"negative write latency", SRAMConfig{Name: "m", Depth: 8, WordBits: 8, WriteCycles: -2}, false},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			_, err := NewSRAM(tt.cfg, nil)
-			if (err == nil) != tt.ok {
-				t.Fatalf("NewSRAM(%+v) error = %v, want ok=%v", tt.cfg, err, tt.ok)
-			}
-		})
-	}
-}
-
-func TestSRAMReadWrite(t *testing.T) {
-	m := MustNewSRAM(SRAMConfig{Name: "t", Depth: 4, WordBits: 12}, nil)
-	if err := m.Write(2, 0xABC); err != nil {
-		t.Fatalf("Write: %v", err)
-	}
-	got, err := m.Read(2)
-	if err != nil {
-		t.Fatalf("Read: %v", err)
-	}
-	if got != 0xABC {
-		t.Fatalf("Read = %#x, want 0xabc", got)
-	}
-}
-
-func TestSRAMWordMasking(t *testing.T) {
-	m := MustNewSRAM(SRAMConfig{Name: "t", Depth: 2, WordBits: 12}, nil)
-	if err := m.Write(0, 0xFFFFF); err != nil {
-		t.Fatalf("Write: %v", err)
-	}
-	got, _ := m.Read(0)
-	if got != 0xFFF {
-		t.Fatalf("word not masked to 12 bits: got %#x, want 0xfff", got)
-	}
-}
-
-func TestSRAMAddressRangeErrors(t *testing.T) {
-	m := MustNewSRAM(SRAMConfig{Name: "t", Depth: 4, WordBits: 8}, nil)
-	for _, addr := range []int{-1, 4, 100} {
-		if _, err := m.Read(addr); !errors.Is(err, ErrAddressRange) {
-			t.Errorf("Read(%d) error = %v, want ErrAddressRange", addr, err)
-		}
-		if err := m.Write(addr, 1); !errors.Is(err, ErrAddressRange) {
-			t.Errorf("Write(%d) error = %v, want ErrAddressRange", addr, err)
-		}
-		if _, err := m.Peek(addr); !errors.Is(err, ErrAddressRange) {
-			t.Errorf("Peek(%d) error = %v, want ErrAddressRange", addr, err)
-		}
-		if err := m.Poke(addr, 1); !errors.Is(err, ErrAddressRange) {
-			t.Errorf("Poke(%d) error = %v, want ErrAddressRange", addr, err)
-		}
-	}
-}
-
-func TestSRAMStatsAndClockAdvance(t *testing.T) {
-	var clk Clock
-	m := MustNewSRAM(SRAMConfig{Name: "t", Depth: 8, WordBits: 16, ReadCycles: 2, WriteCycles: 3}, &clk)
-	for i := 0; i < 4; i++ {
-		if err := m.Write(i, uint64(i)); err != nil {
-			t.Fatalf("Write: %v", err)
-		}
-	}
-	for i := 0; i < 2; i++ {
-		if _, err := m.Read(i); err != nil {
-			t.Fatalf("Read: %v", err)
-		}
-	}
-	st := m.Stats()
-	if st.Writes != 4 || st.Reads != 2 {
-		t.Fatalf("stats = %+v, want 4 writes 2 reads", st)
-	}
-	wantCycles := uint64(4*3 + 2*2)
-	if st.Cycles != wantCycles {
-		t.Fatalf("stats cycles = %d, want %d", st.Cycles, wantCycles)
-	}
-	if clk.Now() != wantCycles {
-		t.Fatalf("clock advanced to %d, want %d", clk.Now(), wantCycles)
-	}
-	if st.Accesses() != 6 {
-		t.Fatalf("Accesses() = %d, want 6", st.Accesses())
-	}
-}
-
-func TestSRAMPeekPokeDoNotCount(t *testing.T) {
-	m := MustNewSRAM(SRAMConfig{Name: "t", Depth: 4, WordBits: 8}, nil)
-	if err := m.Poke(1, 42); err != nil {
-		t.Fatalf("Poke: %v", err)
-	}
-	got, err := m.Peek(1)
-	if err != nil || got != 42 {
-		t.Fatalf("Peek = %d, %v; want 42, nil", got, err)
-	}
-	if st := m.Stats(); st.Accesses() != 0 {
-		t.Fatalf("Peek/Poke counted as accesses: %+v", st)
-	}
-}
-
-func TestSRAMClearAndResetStats(t *testing.T) {
-	m := MustNewSRAM(SRAMConfig{Name: "t", Depth: 4, WordBits: 8}, nil)
-	if err := m.Write(0, 9); err != nil {
-		t.Fatalf("Write: %v", err)
-	}
-	m.ResetStats()
-	if st := m.Stats(); st.Accesses() != 0 {
-		t.Fatalf("ResetStats left counters: %+v", st)
-	}
-	got, _ := m.Peek(0)
-	if got != 9 {
-		t.Fatalf("ResetStats cleared contents: got %d, want 9", got)
-	}
-	m.Clear()
-	got, _ = m.Peek(0)
-	if got != 0 {
-		t.Fatalf("Clear left contents: got %d, want 0", got)
-	}
-}
-
-func TestSRAMBits(t *testing.T) {
-	// Paper equation (2): level memory for a 3-level, 16-bit-node tree is
-	// 16, 256, 4096 bits for levels 0, 1, 2.
-	for _, tt := range []struct {
-		depth, width, want int
-	}{
-		{1, 16, 16},
-		{16, 16, 256},
-		{256, 16, 4096},
-	} {
-		m := MustNewSRAM(SRAMConfig{Name: "lvl", Depth: tt.depth, WordBits: tt.width}, nil)
-		if got := m.Bits(); got != tt.want {
-			t.Errorf("Bits(depth=%d,width=%d) = %d, want %d", tt.depth, tt.width, got, tt.want)
-		}
-	}
-}
-
-func TestSRAMRoundTripProperty(t *testing.T) {
-	m := MustNewSRAM(SRAMConfig{Name: "t", Depth: 256, WordBits: 32}, nil)
-	f := func(addr uint8, val uint32) bool {
-		if err := m.Write(int(addr), uint64(val)); err != nil {
-			return false
-		}
-		got, err := m.Read(int(addr))
-		return err == nil && got == uint64(val)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRegisterFile(t *testing.T) {
-	r := MustNewRegisterFile("lvl0", 17, 16)
-	if r.Depth() != 17 {
-		t.Fatalf("Depth = %d, want 17", r.Depth())
-	}
-	if err := r.Write(3, 0x1FFFF); err != nil {
-		t.Fatalf("Write: %v", err)
-	}
-	got, err := r.Read(3)
-	if err != nil {
-		t.Fatalf("Read: %v", err)
-	}
-	if got != 0xFFFF {
-		t.Fatalf("register not masked to 16 bits: got %#x", got)
-	}
-	if r.Accesses() != 2 {
-		t.Fatalf("Accesses = %d, want 2", r.Accesses())
-	}
-	if _, err := r.Read(17); !errors.Is(err, ErrAddressRange) {
-		t.Fatalf("out-of-range Read error = %v, want ErrAddressRange", err)
-	}
-	if err := r.Write(-1, 0); !errors.Is(err, ErrAddressRange) {
-		t.Fatalf("out-of-range Write error = %v, want ErrAddressRange", err)
-	}
-	r.Clear()
-	if r.Accesses() != 0 {
-		t.Fatalf("Clear left counters: %d", r.Accesses())
-	}
-	got, _ = r.Read(3)
-	if got != 0 {
-		t.Fatalf("Clear left contents: %#x", got)
-	}
-}
-
-func TestRegisterFileValidation(t *testing.T) {
-	if _, err := NewRegisterFile("r", 0, 8); err == nil {
-		t.Error("zero depth accepted")
-	}
-	if _, err := NewRegisterFile("r", 4, 0); err == nil {
-		t.Error("zero width accepted")
-	}
-	if _, err := NewRegisterFile("r", 4, 65); err == nil {
-		t.Error("overwide word accepted")
-	}
-	if _, err := NewRegisterFile("r", 4, 64); err != nil {
-		t.Errorf("64-bit word rejected: %v", err)
 	}
 }

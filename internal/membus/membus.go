@@ -17,12 +17,12 @@
 //
 // Two access regimes exist. Outside a window every access is
 // sequential: it occupies its port for the access latency and advances
-// the clock by the same amount (the pre-fabric hwsim behaviour, so
-// cycle accounting is unchanged for un-windowed traffic). Inside a
-// BeginWindow/EndWindow pair the clock freezes at the window base while
-// accesses are scheduled onto ports — an access starts at the first
-// cycle its bank port is free — and EndWindow advances the clock by the
-// schedule's span.
+// the clock by the same amount (a plain single-port SRAM, so cycle
+// accounting matches the pre-fabric model for un-windowed traffic).
+// Inside a BeginWindow/EndWindow pair the clock freezes at the window
+// base while accesses are scheduled onto ports — an access starts at
+// the first cycle its bank port is free — and EndWindow advances the
+// clock by the schedule's span.
 //
 // An access costs only the scheduling arithmetic, the region and bank
 // counters, and the data word. A record of the access is built only
@@ -112,8 +112,8 @@ type Stats struct {
 	Reads  uint64 // completed read accesses
 	Writes uint64 // completed write accesses
 	// Cycles is the port occupancy consumed by accesses (latency
-	// cycles, excluding stalls) — the pre-fabric hwsim.AccessStats
-	// cycle counter, unchanged.
+	// cycles, excluding stalls) — the hwsim.AccessStats cycle
+	// counter.
 	Cycles uint64
 	// StallCycles is the total cycles accesses spent waiting for a
 	// busy bank port (or bank activation) inside operation windows.
@@ -508,15 +508,11 @@ func (r *Region) Clear() {
 	r.ResetStats()
 }
 
-// Port is a region's functional request port. It implements
-// hwsim.Store, so the circuit layers address the fabric through the
-// same seam they always did — but every access now passes the arbiter
-// and the observer.
+// Port is a region's functional request port: every access passes the
+// arbiter and the observer.
 type Port struct {
 	r *Region
 }
-
-var _ hwsim.Store = (*Port)(nil)
 
 // Region returns the region this port belongs to.
 func (p *Port) Region() *Region { return p.r }

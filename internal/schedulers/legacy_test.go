@@ -11,12 +11,72 @@ import (
 	"wfqsort/internal/wfq"
 )
 
-// This file pins the rank-seam refactor: the pre-seam SCFQ, Virtual
-// Clock, WF²Q+, and hardware-WFQ implementations are preserved below
+// This file pins the rank-seam refactor: the pre-seam WFQ, SCFQ,
+// Virtual Clock, WF²Q+, and hardware-WFQ implementations (and the tag
+// heap they shared) are preserved below
 // verbatim (renamed legacy*), and every seeded workload must produce a
 // byte-identical departure schedule — same IDs, same start and finish
 // times to the last bit — through the rank.Program/rank.Store pipeline
 // that replaced them.
+
+type tagHeap struct {
+	items []tagged
+}
+
+func (h tagHeap) Len() int { return len(h.items) }
+func (h tagHeap) Less(i, j int) bool {
+	if h.items[i].finish != h.items[j].finish {
+		return h.items[i].finish < h.items[j].finish
+	}
+	return h.items[i].seq < h.items[j].seq
+}
+func (h tagHeap) Swap(i, j int)       { h.items[i], h.items[j] = h.items[j], h.items[i] }
+func (h *tagHeap) Push(x interface{}) { h.items = append(h.items, x.(tagged)) }
+func (h *tagHeap) Pop() interface{} {
+	old := h.items
+	n := len(old)
+	it := old[n-1]
+	h.items = old[:n-1]
+	return it
+}
+
+type legacyWFQ struct {
+	clock *wfq.Clock
+	h     tagHeap
+	seq   int
+}
+
+func newLegacyWFQ(t *testing.T, weights []float64, capacityBps float64) *legacyWFQ {
+	t.Helper()
+	c, err := wfq.NewClock(weights, capacityBps)
+	if err != nil {
+		t.Fatalf("wfq.NewClock: %v", err)
+	}
+	return &legacyWFQ{clock: c}
+}
+
+func (w *legacyWFQ) Name() string { return "WFQ" }
+
+func (w *legacyWFQ) Enqueue(p packet.Packet, now float64) error {
+	s, f, err := w.clock.Tag(p.Flow, p.Bits(), now)
+	if err != nil {
+		return err
+	}
+	heap.Push(&w.h, tagged{p: p, start: s, finish: f, seq: w.seq})
+	w.seq++
+	return nil
+}
+
+func (w *legacyWFQ) Dequeue(_ float64) (packet.Packet, error) {
+	if w.h.Len() == 0 {
+		return packet.Packet{}, fmt.Errorf("wfq: empty")
+	}
+	it, ok := heap.Pop(&w.h).(tagged)
+	if !ok {
+		return packet.Packet{}, fmt.Errorf("wfq: heap item type")
+	}
+	return it.p, nil
+}
 
 type legacySCFQ struct {
 	tagger *wfq.SCFQ
@@ -300,6 +360,12 @@ func TestRankSeamByteIdentical(t *testing.T) {
 	const capacity = 1e6
 	for _, seed := range []int64{1, 7, 42} {
 		arrivals := seededArrivals(seed, len(weights), 400)
+
+		wfqD, err := NewWFQ(weights, capacity)
+		if err != nil {
+			t.Fatalf("NewWFQ: %v", err)
+		}
+		runPair(t, fmt.Sprintf("WFQ/seed=%d", seed), arrivals, capacity, wfqD, newLegacyWFQ(t, weights, capacity))
 
 		scfq, err := NewSCFQ(weights, capacity)
 		if err != nil {

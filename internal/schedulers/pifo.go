@@ -9,8 +9,8 @@ import (
 
 // PIFO is the push-in first-out discipline: a rank.Program computes
 // each packet's priority at enqueue and a rank.Store serves the
-// minimum. Every tag-ordered discipline in this package — SCFQ,
-// VirtualClock, WF²Q+, hardware WFQ — is a PIFO with a different
+// minimum. Every tag-ordered discipline in this package except WF²Q —
+// WFQ, SCFQ, VirtualClock, WF²Q+, hardware WFQ — is a PIFO with a different
 // program/store pair; the bespoke tagging code they used to carry now
 // lives behind the one seam.
 type PIFO struct {

@@ -7,11 +7,11 @@
 package schedulers
 
 import (
-	"container/heap"
 	"fmt"
 	"sort"
 
 	"wfqsort/internal/packet"
+	"wfqsort/internal/rank"
 	"wfqsort/internal/wfq"
 )
 
@@ -318,69 +318,16 @@ type tagged struct {
 	seq    int
 }
 
-type tagHeap struct {
-	items []tagged
-}
-
-func (h tagHeap) Len() int { return len(h.items) }
-func (h tagHeap) Less(i, j int) bool {
-	if h.items[i].finish != h.items[j].finish {
-		return h.items[i].finish < h.items[j].finish
-	}
-	return h.items[i].seq < h.items[j].seq
-}
-func (h tagHeap) Swap(i, j int)       { h.items[i], h.items[j] = h.items[j], h.items[i] }
-func (h *tagHeap) Push(x interface{}) { h.items = append(h.items, x.(tagged)) }
-func (h *tagHeap) Pop() interface{} {
-	old := h.items
-	n := len(old)
-	it := old[n-1]
-	h.items = old[:n-1]
-	return it
-}
-
-// WFQ is packet-by-packet weighted fair queueing (paper ref [1]): packets
-// are served in increasing finishing-tag order.
-type WFQ struct {
-	clock *wfq.Clock
-	h     tagHeap
-	seq   int
-}
-
-// NewWFQ builds a WFQ discipline over the given session weights and link
-// capacity.
-func NewWFQ(weights []float64, capacityBps float64) (*WFQ, error) {
-	c, err := wfq.NewClock(weights, capacityBps)
+// NewWFQ builds packet-by-packet weighted fair queueing (paper ref [1])
+// over the given session weights and link capacity: packets are served
+// in increasing GPS finishing-tag order, FCFS among equal tags. It is
+// the rank.WFQ program over the exact software store.
+func NewWFQ(weights []float64, capacityBps float64) (*PIFO, error) {
+	prog, err := rank.NewWFQ(weights, capacityBps)
 	if err != nil {
 		return nil, err
 	}
-	return &WFQ{clock: c}, nil
-}
-
-// Name implements Discipline.
-func (w *WFQ) Name() string { return "WFQ" }
-
-// Enqueue implements Discipline.
-func (w *WFQ) Enqueue(p packet.Packet, now float64) error {
-	s, f, err := w.clock.Tag(p.Flow, p.Bits(), now)
-	if err != nil {
-		return err
-	}
-	heap.Push(&w.h, tagged{p: p, start: s, finish: f, seq: w.seq})
-	w.seq++
-	return nil
-}
-
-// Dequeue implements Discipline.
-func (w *WFQ) Dequeue(_ float64) (packet.Packet, error) {
-	if w.h.Len() == 0 {
-		return packet.Packet{}, fmt.Errorf("wfq: empty")
-	}
-	it, ok := heap.Pop(&w.h).(tagged)
-	if !ok {
-		return packet.Packet{}, fmt.Errorf("wfq: heap item type")
-	}
-	return it.p, nil
+	return NewPIFO(prog, rank.NewSoftStore())
 }
 
 // WF2Q is worst-case fair weighted fair queueing (paper ref [5]): among

@@ -101,7 +101,7 @@ func mustDRR(t *testing.T, quanta []int) *DRR {
 	return d
 }
 
-func mustWFQ(t *testing.T, weights []float64, cap float64) *WFQ {
+func mustWFQ(t *testing.T, weights []float64, cap float64) *PIFO {
 	t.Helper()
 	w, err := NewWFQ(weights, cap)
 	if err != nil {

@@ -73,14 +73,10 @@ type Config struct {
 	PayloadBits int
 	// LaneFabrics, when non-nil, supplies one pre-built memory fabric
 	// per lane (len == Lanes). Callers use this to attach fault
-	// injectors or read port statistics on individual lane domains.
-	// When nil, a fresh fabric is built per lane (on LaneClocks[i]
-	// when supplied).
+	// injectors, read port statistics on individual lane domains, or
+	// run a lane on a caller-owned clock (membus.New(clock)). When nil,
+	// a fresh fabric on a fresh clock is built per lane.
 	LaneFabrics []*membus.Fabric
-	// LaneClocks, when non-nil and LaneFabrics is nil, supplies one
-	// pre-built clock per lane (len == Lanes) for the fresh per-lane
-	// fabrics. When both are nil, fresh clocks are created.
-	LaneClocks []*hwsim.Clock
 }
 
 // Validate checks the configuration and normalizes documented
@@ -101,9 +97,6 @@ func (c *Config) Validate() error {
 	}
 	if c.Partition != PartitionInterleaved && c.Partition != PartitionBlocked {
 		return fmt.Errorf("sharded: unknown partition %d", int(c.Partition))
-	}
-	if c.LaneClocks != nil && len(c.LaneClocks) != c.Lanes {
-		return fmt.Errorf("sharded: %d lane clocks for %d lanes", len(c.LaneClocks), c.Lanes)
 	}
 	if c.LaneFabrics != nil && len(c.LaneFabrics) != c.Lanes {
 		return fmt.Errorf("sharded: %d lane fabrics for %d lanes", len(c.LaneFabrics), c.Lanes)
@@ -191,14 +184,9 @@ func New(cfg Config) (*ShardedSorter, error) {
 	}
 	s := &ShardedSorter{cfg: cfg, tree: newSelectTree(cfg.Lanes)}
 	for i := 0; i < cfg.Lanes; i++ {
-		var fab *membus.Fabric
-		switch {
-		case cfg.LaneFabrics != nil:
+		fab := membus.New(nil)
+		if cfg.LaneFabrics != nil {
 			fab = cfg.LaneFabrics[i]
-		case cfg.LaneClocks != nil:
-			fab = membus.New(cfg.LaneClocks[i])
-		default:
-			fab = membus.New(nil)
 		}
 		srt, err := core.New(core.Config{
 			Capacity:    cfg.LaneCapacity,

@@ -8,7 +8,6 @@ import (
 
 	"wfqsort/internal/core"
 	"wfqsort/internal/fault"
-	"wfqsort/internal/hwsim"
 	"wfqsort/internal/membus"
 	"wfqsort/internal/taglist"
 )
@@ -28,8 +27,8 @@ func TestConfigValidation(t *testing.T) {
 			t.Errorf("lanes=%d: want error", lanes)
 		}
 	}
-	if _, err := New(Config{Lanes: 2, LaneClocks: []*hwsim.Clock{{}}}); err == nil {
-		t.Error("mismatched lane clocks: want error")
+	if _, err := New(Config{Lanes: 2, LaneFabrics: []*membus.Fabric{membus.New(nil)}}); err == nil {
+		t.Error("mismatched lane fabrics: want error")
 	}
 	if _, err := New(Config{Partition: Partition(99)}); err == nil {
 		t.Error("unknown partition: want error")
