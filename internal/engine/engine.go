@@ -707,19 +707,26 @@ func (e *Engine) Submit(tag, payload int) (admitted bool, err error) {
 // blockPush waits for shard-ring space on lw: the producer-side
 // backpressure of PolicyBlock and an admitted PolicyRED packet.
 func (e *Engine) blockPush(lw *laneWorker, it item) error {
+	if lw.tryPush(it) {
+		return nil
+	}
+	// The single space token may go to another waiting producer, so a
+	// waiter rescans at least once a millisecond; one timer serves
+	// every retry of this call.
+	rescan := time.NewTimer(time.Millisecond)
+	defer rescan.Stop()
 	for {
-		if lw.tryPush(it) {
-			return nil
-		}
 		select {
 		case <-lw.space:
 		case <-e.done:
 			return ErrStopped
 		case <-e.terminate:
 			return ErrStopped
-		case <-time.After(time.Millisecond):
-			// The single space token may have gone to another waiting
-			// producer; rescan.
+		case <-rescan.C:
+			rescan.Reset(time.Millisecond)
+		}
+		if lw.tryPush(it) {
+			return nil
 		}
 	}
 }

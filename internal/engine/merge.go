@@ -5,12 +5,14 @@
 //
 // Progress guarantee (DESIGN.md §14): delivery waits for a lane with an
 // empty served ring only while that lane verifiably has work in flight
-// (backlog or sorter occupancy) and is alive, and only up to a bounded
-// spin budget; past the budget the merge proceeds with the best visible
-// head and counts the relaxation in Stats.MergeForced. A wedged
-// consumer is the merge stage's own fault domain: the drain watchdog
-// aborts delivery, the remainder is shed accountably, and the lanes'
-// drains finish regardless.
+// (backlog or sorter occupancy) and is alive, and only for a bounded
+// wall-clock hold. The wait is parked on the lanes' doorbell, which a
+// lane rings after every served push, so a hold costs no CPU; past the
+// hold the merge proceeds with the best visible head and counts the
+// relaxation in Stats.MergeForced. A wedged consumer is the merge
+// stage's own fault domain: the drain watchdog aborts delivery, the
+// remainder is shed accountably, and the lanes' drains finish
+// regardless.
 //
 //wfqlint:ignore-file determinism the merge stage is wall-clock serving code, not simulation (DESIGN.md §11)
 package engine
@@ -21,10 +23,10 @@ import (
 	"time"
 )
 
-// mergeHoldBudget bounds how many scheduler-yielding scan passes the
-// merge stage waits on a lane that has work in flight but no visible
-// head before proceeding without it (counted in Stats.MergeForced).
-const mergeHoldBudget = 4096
+// mergeHold bounds how long one delivery waits on a lane that has work
+// in flight but no visible head before proceeding without it (counted
+// in Stats.MergeForced). It is armed once per delivery.
+const mergeHold = time.Millisecond
 
 // mergeTree is a winner (min-combining) select tree over the lanes'
 // served-ring heads: node 1 holds the lane index with the minimum head
@@ -88,7 +90,10 @@ func (t *mergeTree) min() int { return t.node[1] }
 // sweeps whatever they left behind into the ledger, and then closes the
 // output.
 func (e *Engine) mergeLoop() {
+	hold := time.NewTimer(mergeHold)
+	hold.Stop()
 	defer func() {
+		hold.Stop()
 		e.laneWG.Wait()
 		e.finalSweep()
 		close(e.out)
@@ -98,7 +103,9 @@ func (e *Engine) mergeLoop() {
 	heads := make([]outEntry, len(e.lanes))
 	valid := make([]bool, len(e.lanes))
 	aborted := false
-	holdSpins := 0
+	// holding: this delivery's hold is armed; expired: it fired, so the
+	// delivery proceeds without the pending lane.
+	holding, expired := false, false
 	for {
 		if e.terminated() {
 			return
@@ -185,18 +192,32 @@ func (e *Engine) mergeLoop() {
 				break
 			}
 		}
-		if pending && holdSpins < mergeHoldBudget {
-			holdSpins++
-			runtime.Gosched()
+		if pending && !expired {
+			// Park until a lane serves (its doorbell), the drain aborts,
+			// the engine terminates, or the hold runs out.
+			if !holding {
+				hold.Reset(mergeHold)
+				holding = true
+			}
+			select {
+			case <-e.mergeWake:
+			case <-e.abortDrain:
+			case <-e.terminate:
+			case <-hold.C:
+				expired = true
+			}
 			continue
 		}
 		if pending {
 			e.mergeForced.Add(1)
 		}
-		// Reset the spin budget whether the delivery was forced or not:
-		// each delivery gets its own bounded hold window, so one exhausted
-		// budget relaxes order for one delivery, not the whole episode.
-		holdSpins = 0
+		// Re-arm the hold whether the delivery was forced or not: each
+		// delivery gets its own bounded hold window, so one expired hold
+		// relaxes order for one delivery, not the whole episode.
+		if holding && !expired && !hold.Stop() {
+			<-hold.C // fired unobserved: drain before the next Reset
+		}
+		holding, expired = false, false
 
 		lw := e.lanes[best]
 		en := heads[best]
@@ -205,28 +226,37 @@ func (e *Engine) mergeLoop() {
 		tree.clear(best)
 		lw.wake() // served-ring space: the lane can serve again
 		lat := time.Duration(time.Now().UnixNano() - en.submitNs)
-		e.mergeBlocked.Store(true)
+		s := Served{Tag: en.tag, Payload: en.payload, Latency: lat}
+		sent := true
 		select {
-		case e.out <- Served{Tag: en.tag, Payload: en.payload, Latency: lat}:
+		case e.out <- s:
+		default:
+			// The Served buffer is full: park in the send, visible to the
+			// drain watchdog as a blocked delivery.
+			e.mergeBlocked.Store(true)
+			select {
+			case e.out <- s:
+			case <-e.abortDrain:
+				sent = false
+			case <-e.terminate:
+				e.mergeBlocked.Store(false)
+				lw.faultLost.Add(1)
+				e.redDepart(1)
+				return
+			}
 			e.mergeBlocked.Store(false)
+		}
+		if sent {
 			lw.extracted.Add(1)
 			e.recordLatency(int64(lat))
-			e.redDepart(1)
-			e.mergeProgress.Add(1)
-		case <-e.abortDrain:
-			e.mergeBlocked.Store(false)
+		} else {
 			// The drain watchdog fired while this delivery was wedged:
 			// shed it accountably; the abort branch above sheds the rest.
 			lw.faultLost.Add(1)
 			lw.drainShed.Add(1)
-			e.redDepart(1)
-			e.mergeProgress.Add(1)
-		case <-e.terminate:
-			e.mergeBlocked.Store(false)
-			lw.faultLost.Add(1)
-			e.redDepart(1)
-			return
 		}
+		e.redDepart(1)
+		e.mergeProgress.Add(1)
 	}
 }
 

@@ -138,3 +138,76 @@ func TestMergeForcedBoundedHold(t *testing.T) {
 		t.Fatalf("MergeForced = %d, want >= 2 (budget must re-arm per delivery)", st.MergeForced)
 	}
 }
+
+// TestMergeHoldWallClockBound bounds the merge's hold in wall time:
+// with lane 1 wedged for 300 ms and its backlog visible, every lane-0
+// delivery waits at most one hold (about a millisecond) for lane 1, so
+// all of lane 0's packets arrive long before the wedge clears. A hold
+// that waited on lane 1 until it served would deliver nothing for
+// 300 ms.
+func TestMergeHoldWallClockBound(t *testing.T) {
+	e, err := New(Config{Lanes: 2, LaneCapacity: 256, RingSize: 64, BatchSize: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Start(); err != nil {
+		t.Fatal(err)
+	}
+	const perLane = 20
+	var served []Served
+	lane0Done := make(chan time.Time, 1)
+	consumed := make(chan struct{})
+	go func() {
+		defer close(consumed)
+		lane0 := 0
+		for s := range e.Served() {
+			served = append(served, s)
+			if s.Payload < perLane {
+				if lane0++; lane0 == perLane {
+					lane0Done <- time.Now()
+				}
+			}
+		}
+	}()
+
+	wedged := make(chan struct{})
+	if err := e.InjectLane(1, func() {
+		close(wedged)
+		time.Sleep(300 * time.Millisecond)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	<-wedged
+	t0 := time.Now()
+	// Interleaved partition: odd tags go to lane 1, even tags to lane 0.
+	for i := 0; i < perLane; i++ {
+		if _, err := e.Submit(2*i+1, perLane+i); err != nil {
+			t.Fatalf("lane-1 submit %d: %v", i, err)
+		}
+	}
+	for i := 0; i < perLane; i++ {
+		if _, err := e.Submit(2*i, i); err != nil {
+			t.Fatalf("lane-0 submit %d: %v", i, err)
+		}
+	}
+	select {
+	case at := <-lane0Done:
+		if d := at.Sub(t0); d >= 250*time.Millisecond {
+			t.Fatalf("lane 0's %d packets took %v behind a wedged lane, want < 250ms", perLane, d)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("lane 0's packets were never all delivered")
+	}
+	if err := e.Stop(); err != nil {
+		t.Fatalf("stop: %v", err)
+	}
+	<-consumed
+	st := e.StatsSnapshot()
+	checkConservation(t, st)
+	if st.FaultLost != 0 {
+		t.Fatalf("bounded hold shed %d packets", st.FaultLost)
+	}
+	if len(served) != 2*perLane {
+		t.Fatalf("delivered %d of %d", len(served), 2*perLane)
+	}
+}

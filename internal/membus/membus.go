@@ -24,15 +24,19 @@
 // the first cycle its bank port is free — and EndWindow advances the
 // clock by the schedule's span.
 //
-// An access costs only the scheduling arithmetic, the region and bank
-// counters, and the data word. A record of the access is built only
-// when an Observer is installed and the region is not a register
-// region: the fabric fills its one Access in place and hands the
-// observer a pointer to it, valid only during that Observe (and, for
-// a write, AfterWrite) call. The hot path allocates nothing either
-// way, the fault layer interposes through the Observer seam with
-// bank/port/cycle coordinates, and the metrics layer reads the region
-// and bank counters after the fact.
+// An access costs only the scheduling arithmetic, one set of bank
+// counters, and the data word. Traffic is counted once, per bank: a
+// region's read, write, busy-cycle and stall counters are the sums over
+// its banks, and only the conflict and window counters are kept per
+// region. A register region is counted and returned before any port
+// arbitration. A record of the access is built only when an Observer
+// is installed and the region is not a register region: the fabric
+// fills its one Access in place and hands the observer a pointer to
+// it, valid only during that Observe (and, for a write, AfterWrite)
+// call. The hot path allocates nothing either way, the fault layer
+// interposes through the Observer seam with bank/port/cycle
+// coordinates, and the metrics layer reads the counters after the
+// fact.
 package membus
 
 import (
@@ -107,16 +111,20 @@ type RegionConfig struct {
 	Register bool
 }
 
-// Stats accumulates one region's traffic and arbitration counters.
+// Stats is one region's (or, summed, one fabric's) traffic and
+// arbitration counters. Reads, Writes, Cycles and StallCycles are sums
+// over the region's BankStats; Conflicts and the window counters are
+// kept per region.
 type Stats struct {
-	Reads  uint64 // completed read accesses
-	Writes uint64 // completed write accesses
+	Reads  uint64 // completed read accesses (sum of BankStats.Reads)
+	Writes uint64 // completed write accesses (sum of BankStats.Writes)
 	// Cycles is the port occupancy consumed by accesses (latency
 	// cycles, excluding stalls) — the hwsim.AccessStats cycle
-	// counter.
+	// counter, and the sum of BankStats.BusyCycles.
 	Cycles uint64
 	// StallCycles is the total cycles accesses spent waiting for a
-	// busy bank port (or bank activation) inside operation windows.
+	// busy bank port (or bank activation) inside operation windows —
+	// the sum of BankStats.StallCycles.
 	StallCycles uint64
 	// Conflicts counts accesses that stalled at all: each one is a
 	// same-bank port collision resolved by the arbiter.
@@ -127,6 +135,16 @@ type Stats struct {
 	WindowCycles uint64
 }
 
+func (s *Stats) add(o Stats) {
+	s.Reads += o.Reads
+	s.Writes += o.Writes
+	s.Cycles += o.Cycles
+	s.StallCycles += o.StallCycles
+	s.Conflicts += o.Conflicts
+	s.Windows += o.Windows
+	s.WindowCycles += o.WindowCycles
+}
+
 // Accesses returns the total read and write count.
 func (s Stats) Accesses() uint64 { return s.Reads + s.Writes }
 
@@ -135,7 +153,8 @@ func (s Stats) AccessStats() hwsim.AccessStats {
 	return hwsim.AccessStats{Reads: s.Reads, Writes: s.Writes, Cycles: s.Cycles}
 }
 
-// BankStats accumulates one bank's share of the region traffic.
+// BankStats is one bank's share of the region traffic, and the only
+// place that traffic is counted: the region's Stats sum these.
 type BankStats struct {
 	Reads       uint64
 	Writes      uint64
@@ -249,11 +268,16 @@ func (f *Fabric) Provision(cfg RegionConfig) (*Region, error) {
 		mask = (1 << uint(cfg.WordBits)) - 1
 	}
 	r := &Region{
-		f:     f,
-		cfg:   cfg,
-		mask:  mask,
-		words: make([]uint64, cfg.Depth),
-		banks: make([]bankState, cfg.Banks),
+		f:        f,
+		cfg:      cfg,
+		mask:     mask,
+		words:    make([]uint64, cfg.Depth),
+		banks:    make([]bankState, cfg.Banks),
+		readLat:  uint64(cfg.ReadCycles),
+		writeLat: uint64(cfg.WriteCycles),
+	}
+	if cfg.Ports == PortSplit {
+		r.writePort = PortB
 	}
 	r.port.r = r
 	f.regions = append(f.regions, r)
@@ -276,13 +300,7 @@ func (f *Fabric) Regions() []*Region {
 func (f *Fabric) StatsSnapshot() Stats {
 	var out Stats
 	for _, r := range f.regions {
-		out.Reads += r.stats.Reads
-		out.Writes += r.stats.Writes
-		out.Cycles += r.stats.Cycles
-		out.StallCycles += r.stats.StallCycles
-		out.Conflicts += r.stats.Conflicts
-		out.Windows += r.stats.Windows
-		out.WindowCycles += r.stats.WindowCycles
+		out.add(r.StatsSnapshot())
 	}
 	return out
 }
@@ -309,8 +327,18 @@ type Region struct {
 	mask  uint64
 	words []uint64
 	banks []bankState
-	stats Stats
 	port  Port
+
+	// Access timing, fixed at Provision: per-direction port occupancy
+	// and the port a write uses (PortA, or PortB on a PortSplit bank).
+	readLat   uint64
+	writeLat  uint64
+	writePort int
+
+	// The region-only counters; traffic is counted per bank.
+	conflicts    uint64
+	windows      uint64
+	windowCycles uint64
 
 	windowActive bool
 	windowBase   uint64
@@ -339,11 +367,22 @@ func (r *Region) Banks() int { return len(r.banks) }
 // datapath access path.
 func (r *Region) Port() *Port { return &r.port }
 
-// StatsSnapshot returns a copy of the region counters.
-func (r *Region) StatsSnapshot() Stats { return r.stats }
+// StatsSnapshot returns the region counters: the bank traffic summed,
+// plus the region's conflict and window counters.
+func (r *Region) StatsSnapshot() Stats {
+	s := Stats{Conflicts: r.conflicts, Windows: r.windows, WindowCycles: r.windowCycles}
+	for i := range r.banks {
+		b := &r.banks[i].stats
+		s.Reads += b.Reads
+		s.Writes += b.Writes
+		s.Cycles += b.BusyCycles
+		s.StallCycles += b.StallCycles
+	}
+	return s
+}
 
 // AccessStats returns the hwsim-compatible traffic triple.
-func (r *Region) AccessStats() hwsim.AccessStats { return r.stats.AccessStats() }
+func (r *Region) AccessStats() hwsim.AccessStats { return r.StatsSnapshot().AccessStats() }
 
 // BankStats returns a copy of the per-bank counters.
 func (r *Region) BankStats() []BankStats {
@@ -357,7 +396,7 @@ func (r *Region) BankStats() []BankStats {
 // ResetStats zeroes the region and bank counters without touching
 // memory contents or port schedules.
 func (r *Region) ResetStats() {
-	r.stats = Stats{}
+	r.conflicts, r.windows, r.windowCycles = 0, 0, 0
 	for i := range r.banks {
 		r.banks[i].stats = BankStats{}
 	}
@@ -385,8 +424,8 @@ func (r *Region) EndWindow() int {
 	r.windowActive = false
 	span := r.windowMaxEnd - r.windowBase
 	r.f.clock.Advance(span)
-	r.stats.Windows++
-	r.stats.WindowCycles += span
+	r.windows++
+	r.windowCycles += span
 	return int(span)
 }
 
@@ -409,27 +448,32 @@ func (r *Region) addrError(op string, addr int) error {
 
 // schedule arbitrates one access onto its bank port. It charges the
 // clock in sequential mode; in window mode the clock is charged
-// collectively by EndWindow. It returns the fabric's access record,
-// filled in, when the access is offered to an Observer, and nil
-// otherwise.
+// collectively by EndWindow. A register access is counted and returns
+// before arbitration. It returns the fabric's access record, filled
+// in, when the access is offered to an Observer, and nil otherwise.
 func (r *Region) schedule(addr int, write bool) *Access {
 	bank := 0
 	if len(r.banks) > 1 {
 		bank = addr % len(r.banks)
 	}
 	b := &r.banks[bank]
-	port := PortA
-	if write && r.cfg.Ports == PortSplit {
-		port = PortB
-	}
-	lat := uint64(r.cfg.ReadCycles)
+	f := r.f
+	f.seq++
 	if write {
-		lat = uint64(r.cfg.WriteCycles)
+		b.stats.Writes++
+	} else {
+		b.stats.Reads++
 	}
-	var start, stall uint64
 	if r.cfg.Register {
-		start = r.f.clock.Now()
-	} else if r.windowActive {
+		return nil
+	}
+	port, lat := PortA, r.readLat
+	if write {
+		port, lat = r.writePort, r.writeLat
+	}
+	b.stats.BusyCycles += lat
+	var start, stall uint64
+	if r.windowActive {
 		// Every windowed access waits out the bank activation; waiting
 		// for the port beyond that is a stall.
 		earliest := r.windowBase + uint64(r.cfg.ActivateCycles)
@@ -443,31 +487,16 @@ func (r *Region) schedule(addr int, write bool) *Access {
 		if end > r.windowMaxEnd {
 			r.windowMaxEnd = end
 		}
+		if stall > 0 {
+			b.stats.StallCycles += stall
+			r.conflicts++
+		}
 	} else {
-		start = r.f.clock.Now()
-		end := start + lat
-		b.freeAt[port] = end
-		r.f.clock.Advance(lat)
+		start = f.clock.Now()
+		b.freeAt[port] = start + lat
+		f.clock.Advance(lat)
 	}
-	if write {
-		r.stats.Writes++
-		b.stats.Writes++
-	} else {
-		r.stats.Reads++
-		b.stats.Reads++
-	}
-	if !r.cfg.Register {
-		r.stats.Cycles += lat
-		b.stats.BusyCycles += lat
-	}
-	r.stats.StallCycles += stall
-	b.stats.StallCycles += stall
-	if stall > 0 {
-		r.stats.Conflicts++
-	}
-	f := r.f
-	f.seq++
-	if f.obs == nil || r.cfg.Register {
+	if f.obs == nil {
 		return nil
 	}
 	f.acc = Access{Region: r, Addr: addr, Bank: bank, Port: port, Write: write, Cycle: start, Stall: stall, Seq: f.seq}

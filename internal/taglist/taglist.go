@@ -111,8 +111,16 @@ type List struct {
 	cfg          Config
 	addrBits     int
 	windowCycles int
-	reg          *membus.Region // backing region (debug ports, bulk wipe)
-	port         *membus.Port   // functional port through the fabric arbiter
+
+	// Link word layout, fixed at New: [payload | next | tag], low bits
+	// first.
+	tagMask      uint64
+	nextMask     uint64
+	nextShift    uint
+	payloadShift uint
+
+	reg  *membus.Region // backing region (debug ports, bulk wipe)
+	port *membus.Port   // functional port through the fabric arbiter
 
 	// Head registers: the smallest tag's link, cached so service of the
 	// minimum never waits on a lookup (the "sort model" advantage,
@@ -137,15 +145,13 @@ type List struct {
 
 // Link word packing: [payload | next | tag], low bits first.
 func (l *List) pack(tag, next, payload int) uint64 {
-	return uint64(tag) |
-		uint64(next)<<uint(l.cfg.TagBits) |
-		uint64(payload)<<uint(l.cfg.TagBits+l.addrBits)
+	return uint64(tag) | uint64(next)<<l.nextShift | uint64(payload)<<l.payloadShift
 }
 
 func (l *List) unpack(w uint64) (tag, next, payload int) {
-	tag = int(w & ((1 << uint(l.cfg.TagBits)) - 1))
-	next = int(w >> uint(l.cfg.TagBits) & ((1 << uint(l.addrBits)) - 1))
-	payload = int(w >> uint(l.cfg.TagBits+l.addrBits))
+	tag = int(w & l.tagMask)
+	next = int(w >> l.nextShift & l.nextMask)
+	payload = int(w >> l.payloadShift)
 	return tag, next, payload
 }
 
@@ -207,7 +213,17 @@ func New(cfg Config) (*List, error) {
 	if err != nil {
 		return nil, fmt.Errorf("taglist: %w", err)
 	}
-	return &List{cfg: cfg, addrBits: addrBits, windowCycles: windowCycles, reg: reg, port: reg.Port()}, nil
+	return &List{
+		cfg:          cfg,
+		addrBits:     addrBits,
+		windowCycles: windowCycles,
+		tagMask:      1<<uint(cfg.TagBits) - 1,
+		nextMask:     1<<uint(addrBits) - 1,
+		nextShift:    uint(cfg.TagBits),
+		payloadShift: uint(cfg.TagBits + addrBits),
+		reg:          reg,
+		port:         reg.Port(),
+	}, nil
 }
 
 // Len returns the number of stored tags.
