@@ -619,7 +619,7 @@ func (s *server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	for i, ls := range st.Supervision.LaneStates {
 		fmt.Fprintf(&b, "wfqd_lane_state{lane=\"%d\",state=%q} 1\n", i, ls)
 	}
-	emit("wfqd_batches_total", "Amortized InsertBatch calls.", "counter", float64(st.Batches))
+	emit("wfqd_batches_total", "Lane ingest batches (ring drains that inserted at least one packet).", "counter", float64(st.Batches))
 	emit("wfqd_batched_ops_total", "Inserts carried by batches.", "counter", float64(st.BatchedOps))
 	emit("wfqd_inflight", "Packets in rings plus sorter.", "gauge", float64(st.InFlight))
 	emit("wfqd_sorter_len", "Tags resident in the sorter.", "gauge", float64(st.SorterLen))

@@ -82,8 +82,9 @@ func run() error {
 
 // shardedScaleOut shows how lane-parallel sharding multiplies the
 // single-circuit line rate: N circuits each own an interleaved slice of
-// the tag space, inserts land on their lanes concurrently, and a
-// log₂(N)-deep select tree serves the global minimum. The hardware wall
+// the tag space, each lane counts its inserts on its own clock (the
+// lanes run in parallel in hardware), and a log₂(N)-deep select tree
+// serves the global minimum. The hardware wall
 // clock for a batch is the busiest lane, so the model speedup is
 // sum-of-lane-cycles over max-lane-cycles.
 func shardedScaleOut() error {

@@ -124,8 +124,6 @@ type Config struct {
 	// LaneCapacity is the number of tag-store links per lane.
 	// Default 1024.
 	LaneCapacity int
-	// Partition is the tag-space split (default interleaved).
-	Partition sharded.Partition
 	// MemTech is each lane's tag-store memory technology (default SDR).
 	MemTech taglist.MemTech
 	// LaneFabrics, when non-nil, supplies one pre-built memory fabric
@@ -486,9 +484,9 @@ const latencyWindow = 8192
 // Submit from any number of goroutines, consume Served until it closes,
 // Stop to drain gracefully.
 type Engine struct {
-	cfg    Config
-	sorter *sharded.ShardedSorter
-	sup    *supervisor.Supervisor
+	cfg      Config
+	tagRange int
+	sup      *supervisor.Supervisor
 
 	lanes []*laneWorker
 
@@ -550,10 +548,9 @@ func New(cfg Config) (*Engine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	s, err := sharded.New(sharded.Config{
+	sorters, err := sharded.NewLanes(sharded.Config{
 		Lanes:        cfg.Lanes,
 		LaneCapacity: cfg.LaneCapacity,
-		Partition:    cfg.Partition,
 		MemTech:      cfg.MemTech,
 		LaneFabrics:  cfg.LaneFabrics,
 	})
@@ -566,7 +563,7 @@ func New(cfg Config) (*Engine, error) {
 	}
 	e := &Engine{
 		cfg:          cfg,
-		sorter:       s,
+		tagRange:     sorters[0].TagRange(),
 		sup:          sup,
 		lanes:        make([]*laneWorker, cfg.Lanes),
 		out:          make(chan Served, cfg.OutBuffer),
@@ -576,11 +573,11 @@ func New(cfg Config) (*Engine, error) {
 		mergeWake:    make(chan struct{}, 1),
 		abortDrain:   make(chan struct{}),
 		quar:         make([]atomic.Bool, cfg.Lanes),
-		windowCycles: s.Lane(0).CyclesPerWindow(),
+		windowCycles: sorters[0].CyclesPerWindow(),
 		latBuf:       make([]int64, 0, latencyWindow),
 	}
 	for i := range e.lanes {
-		e.lanes[i] = newLaneWorker(e, i)
+		e.lanes[i] = newLaneWorker(e, i, sorters[i])
 	}
 	if cfg.Policy == PolicyRED {
 		red, err := aqm.NewRED(cfg.RED)
@@ -593,14 +590,14 @@ func New(cfg Config) (*Engine, error) {
 }
 
 // Lanes returns the lane count.
-func (e *Engine) Lanes() int { return e.sorter.Lanes() }
+func (e *Engine) Lanes() int { return len(e.lanes) }
 
 // TagRange returns the number of representable tag values.
-func (e *Engine) TagRange() int { return e.sorter.TagRange() }
+func (e *Engine) TagRange() int { return e.tagRange }
 
 // Capacity returns the total sorter links across lanes (the in-sorter
 // occupancy ceiling; rings add roughly Lanes×RingSize on top).
-func (e *Engine) Capacity() int { return e.sorter.Capacity() }
+func (e *Engine) Capacity() int { return e.cfg.Lanes * e.cfg.LaneCapacity }
 
 // Served returns the consumer channel. It is closed after a graceful
 // drain completes (or the datapath dies); consumers must keep receiving
@@ -630,7 +627,7 @@ func (e *Engine) Start() error {
 // slightly approximate order beats no service). ok is false when no
 // healthy lane remains.
 func (e *Engine) remapLane(tag int) (lane int, ok bool) {
-	lane = e.sorter.LaneFor(tag)
+	lane = sharded.InterleavedLane(tag, len(e.lanes))
 	if !e.quar[lane].Load() {
 		return lane, true
 	}
@@ -667,8 +664,8 @@ func (e *Engine) Submit(tag, payload int) (admitted bool, err error) {
 	if e.stopping.Load() || e.terminated() || e.stopped() {
 		return false, ErrStopped
 	}
-	if tag < 0 || tag >= e.sorter.TagRange() {
-		return false, fmt.Errorf("engine: tag %d outside [0,%d)", tag, e.sorter.TagRange())
+	if tag < 0 || tag >= e.tagRange {
+		return false, fmt.Errorf("engine: tag %d outside [0,%d)", tag, e.tagRange)
 	}
 	lane, ok := e.remapLane(tag)
 	if !ok {
@@ -753,8 +750,8 @@ func (e *Engine) Cancel(tag, payload int) (bool, error) {
 // neither side of the conservation identity. Admission and miss
 // semantics match Cancel.
 func (e *Engine) Reweight(tag, payload, newTag int) (bool, error) {
-	if newTag < 0 || newTag >= e.sorter.TagRange() {
-		return false, fmt.Errorf("engine: reweight tag %d outside [0,%d)", newTag, e.sorter.TagRange())
+	if newTag < 0 || newTag >= e.tagRange {
+		return false, fmt.Errorf("engine: reweight tag %d outside [0,%d)", newTag, e.tagRange)
 	}
 	return e.submitControl(item{op: opReweight, tag: tag, payload: payload, newTag: newTag})
 }
@@ -775,11 +772,11 @@ func (e *Engine) submitControl(it item) (bool, error) {
 	if e.stopping.Load() || e.terminated() || e.stopped() {
 		return false, ErrStopped
 	}
-	if it.tag < 0 || it.tag >= e.sorter.TagRange() {
-		return false, fmt.Errorf("engine: tag %d outside [0,%d)", it.tag, e.sorter.TagRange())
+	if it.tag < 0 || it.tag >= e.tagRange {
+		return false, fmt.Errorf("engine: tag %d outside [0,%d)", it.tag, e.tagRange)
 	}
 	it.submitNs = time.Now().UnixNano()
-	lw := e.lanes[e.sorter.LaneFor(it.tag)]
+	lw := e.lanes[sharded.InterleavedLane(it.tag, len(e.lanes))]
 	if !lw.pushControl(it) {
 		e.cancelDrops.Add(1)
 		return false, nil

@@ -49,6 +49,7 @@ func TestConfigValidation(t *testing.T) {
 		{"lanes not power of two", Config{Lanes: 3}, false},
 		{"lanes too many", Config{Lanes: 128}, false},
 		{"lane capacity too small", Config{LaneCapacity: 1}, false},
+		{"lane fabrics mismatch", Config{Lanes: 2, LaneFabrics: []*membus.Fabric{membus.New(nil)}}, false},
 		{"negative ring", Config{RingSize: -1}, false},
 		{"negative batch", Config{BatchSize: -4}, false},
 		{"unknown policy", Config{Policy: Policy(99)}, false},

@@ -16,6 +16,7 @@ import (
 	"wfqsort/internal/core"
 	"wfqsort/internal/metrics"
 	"wfqsort/internal/ring"
+	"wfqsort/internal/sharded"
 	"wfqsort/internal/taglist"
 )
 
@@ -105,11 +106,11 @@ type laneWorker struct {
 	mirror       atomic.Pointer[laneMirror]
 }
 
-func newLaneWorker(e *Engine, idx int) *laneWorker {
+func newLaneWorker(e *Engine, idx int, ln *core.Sorter) *laneWorker {
 	lw := &laneWorker{
 		e:       e,
 		idx:     idx,
-		ln:      e.sorter.Lane(idx),
+		ln:      ln,
 		shards:  make([]*laneShard, e.cfg.Shards),
 		xfer:    ring.New[item](e.cfg.LaneCapacity + e.cfg.RingSize),
 		control: ring.New[item](controlRingCap(e.cfg)),
@@ -295,8 +296,8 @@ func (lw *laneWorker) sweepOrphanSlots() int {
 // updateMirror publishes the lane's modelled-hardware gauges.
 func (lw *laneWorker) updateMirror() {
 	lw.mirror.Store(&laneMirror{
-		cycles: lw.e.sorter.LaneClock(lw.idx).Now(),
-		fabric: metrics.FabricPressure(lw.e.sorter.LaneFabric(lw.idx)),
+		cycles: lw.ln.Fabric().Clock().Now(),
+		fabric: metrics.FabricPressure(lw.ln.Fabric()),
 	})
 }
 
@@ -531,7 +532,7 @@ func (e *Engine) ingestOne(lw *laneWorker, it item) error {
 		// FaultLost if the sorter lost the entry.
 		return err
 	}
-	if e.sorter.LaneFor(it.tag) != lw.idx {
+	if sharded.InterleavedLane(it.tag, len(e.lanes)) != lw.idx {
 		e.remapped.Add(1)
 	}
 	return nil
@@ -785,8 +786,8 @@ func (e *Engine) handleLaneFailure(lw *laneWorker, op string, err error) error {
 // drive the supervisor's bounded retry-with-backoff rebuild if dirty,
 // quarantine (evacuating survivors) if the supervisor gives up, then
 // reconcile the slot table so every unrecoverable packet is counted.
-// Unlike the serial engine's repair, it touches only lane state this
-// goroutine owns — peer lanes repair themselves.
+// It touches only lane state this goroutine owns — peer lanes repair
+// themselves.
 func (e *Engine) laneRepair(lw *laneWorker) error {
 	if !e.quar[lw.idx].Load() {
 		if rep := lw.ln.Audit(); rep.Err() != nil {

@@ -1,7 +1,8 @@
 // Tag-order merge: a dedicated goroutine combines the per-lane served
-// rings through a min-combining select tree (the software analogue of
-// the paper's select-tree fan-in) and delivers to the Served channel in
-// global tag order.
+// rings through a sharded.WinnerTree (the software analogue of the
+// paper's select-tree fan-in; the merge goroutine is its single writer)
+// and delivers to the Served channel in global tag order. Equal tags
+// serve in lane order.
 //
 // Progress guarantee (DESIGN.md §14): delivery waits for a lane with an
 // empty served ring only while that lane verifiably has work in flight
@@ -21,68 +22,14 @@ import (
 	"fmt"
 	"runtime"
 	"time"
+
+	"wfqsort/internal/sharded"
 )
 
 // mergeHold bounds how long one delivery waits on a lane that has work
 // in flight but no visible head before proceeding without it (counted
 // in Stats.MergeForced). It is armed once per delivery.
 const mergeHold = time.Millisecond
-
-// mergeTree is a winner (min-combining) select tree over the lanes'
-// served-ring heads: node 1 holds the lane index with the minimum head
-// tag, leaves sit at [size, size+lanes). Single-writer — only the merge
-// goroutine touches it. Ties resolve to the lower lane index so equal
-// tags serve in a stable lane order.
-type mergeTree struct {
-	size int
-	tag  []int // head tag per lane, valid while the leaf is set
-	node []int // winner lane per subtree, -1 for empty
-}
-
-func newMergeTree(lanes int) *mergeTree {
-	size := 1
-	for size < lanes {
-		size <<= 1
-	}
-	t := &mergeTree{size: size, tag: make([]int, size), node: make([]int, 2*size)}
-	for i := range t.node {
-		t.node[i] = -1
-	}
-	return t
-}
-
-// set publishes lane's head tag and replays its root path.
-func (t *mergeTree) set(lane, tag int) {
-	t.tag[lane] = tag
-	t.node[t.size+lane] = lane
-	t.ascend(lane)
-}
-
-// clear removes lane's head and replays its root path.
-func (t *mergeTree) clear(lane int) {
-	t.node[t.size+lane] = -1
-	t.ascend(lane)
-}
-
-func (t *mergeTree) ascend(lane int) {
-	for i := (t.size + lane) / 2; i >= 1; i /= 2 {
-		l, r := t.node[2*i], t.node[2*i+1]
-		switch {
-		case l < 0:
-			t.node[i] = r
-		case r < 0:
-			t.node[i] = l
-		case t.tag[r] < t.tag[l]:
-			t.node[i] = r
-		default:
-			t.node[i] = l
-		}
-	}
-}
-
-// min returns the lane holding the minimum head tag, or -1 when every
-// served ring is empty.
-func (t *mergeTree) min() int { return t.node[1] }
 
 // mergeLoop is the merge goroutine: the consumer of every lane's served
 // ring, the sole sender on the Served channel, and the engine's final
@@ -99,7 +46,7 @@ func (e *Engine) mergeLoop() {
 		close(e.out)
 		close(e.done)
 	}()
-	tree := newMergeTree(len(e.lanes))
+	tree := sharded.NewWinnerTree(len(e.lanes))
 	heads := make([]outEntry, len(e.lanes))
 	valid := make([]bool, len(e.lanes))
 	aborted := false
@@ -123,7 +70,7 @@ func (e *Engine) mergeLoop() {
 				if en, ok := lw.served.Peek(); ok {
 					heads[i] = en
 					valid[i] = true
-					tree.set(i, en.tag)
+					tree.Set(i, en.tag)
 				}
 			}
 		}
@@ -138,7 +85,7 @@ func (e *Engine) mergeLoop() {
 				}
 				lw.served.Advance()
 				valid[i] = false
-				tree.clear(i)
+				tree.Clear(i)
 				lw.faultLost.Add(1)
 				lw.drainShed.Add(1)
 				shed++
@@ -156,7 +103,7 @@ func (e *Engine) mergeLoop() {
 			continue
 		}
 
-		best := tree.min()
+		best := tree.Min()
 		if best < 0 {
 			if e.allLanesDone() {
 				// doneFlag is stored after a lane's last served push
@@ -223,7 +170,7 @@ func (e *Engine) mergeLoop() {
 		en := heads[best]
 		lw.served.Advance()
 		valid[best] = false
-		tree.clear(best)
+		tree.Clear(best)
 		lw.wake() // served-ring space: the lane can serve again
 		lat := time.Duration(time.Now().UnixNano() - en.submitNs)
 		s := Served{Tag: en.tag, Payload: en.payload, Latency: lat}

@@ -20,8 +20,9 @@ import (
 // because lanes don't stretch the lookup path — and an extract costs
 // one head access plus the select tree's log₂(N) comparator levels.
 type Sharded struct {
-	s     *sharded.ShardedSorter
-	stats OpStats
+	s           *sharded.ShardedSorter
+	extractCost uint64 // one head access plus the select depth, fixed at build
+	stats       OpStats
 }
 
 // NewSharded builds a sharded multi-bit tree with the given lane count
@@ -37,7 +38,7 @@ func NewSharded(lanes, capacity int) (*Sharded, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Sharded{s: s}, nil
+	return &Sharded{s: s, extractCost: 1 + uint64(s.StatsSnapshot().SelectDepth)}, nil
 }
 
 // Sorter exposes the underlying sharded sorter (lane gauges, batching).
@@ -81,7 +82,7 @@ func (q *Sharded) ExtractMin() (Entry, error) {
 		}
 		return Entry{}, err
 	}
-	d := 1 + uint64(q.s.StatsSnapshot().SelectDepth)
+	d := q.extractCost
 	q.stats.Extracts++
 	q.stats.ExtractAccesses += d
 	if d > q.stats.WorstExtract {

@@ -3,18 +3,25 @@
 // multi-core/multi-bank deployment the silicon invites: the cyclic
 // 12-bit tag space is partitioned over N lanes, each lane is a complete
 // core.Sorter with its own memories and clock domain, and a log₂(N)-deep
-// min-combining select tree over the per-lane heads keeps PeekMin and
+// min-combining winner tree over the per-lane heads keeps PeekMin and
 // ExtractMin fixed-time as the lane count grows.
+//
+// The package is the sequential cycle model of that composition, and
+// the home of its two shared parts: NewLanes builds the lanes and
+// WinnerTree combines their heads. ShardedSorter drives its lanes one
+// after another on the caller's goroutine; because every lane keeps its
+// own clock, cross-lane cycle accounting is still reported as the
+// maximum over lanes, the wall clock of parallel hardware. Running lanes
+// concurrently is the serving engine's job (internal/engine), which
+// builds its lanes with NewLanes, routes with InterleavedLane and
+// merges with WinnerTree.
 //
 // The shape follows the software packet-scheduling literature: Eiffel
 // (NSDI'19) partitions work across bucketed queues to reach line rate on
 // commodity cores, and the PIFO line of work shows a small combining
-// stage over parallel sorted lanes preserves scheduling semantics. Here
-// each lane keeps the paper's per-lane guarantees (4-cycle insert
-// window, fixed-depth tree search), inserts are batched and driven
-// concurrently — one goroutine per lane, no shared mutable state — and
-// cross-lane cycle accounting is reported as the maximum over lanes,
-// matching the wall-clock of parallel hardware.
+// stage over parallel sorted lanes preserves scheduling semantics. Each
+// lane keeps the paper's per-lane guarantees (4-cycle insert window,
+// fixed-depth tree search).
 //
 // Because every tag value maps to exactly one lane, cross-lane ties are
 // impossible and per-lane FCFS among duplicate tags is preserved: the
@@ -23,7 +30,6 @@ package sharded
 
 import (
 	"fmt"
-	"sync"
 
 	"wfqsort/internal/core"
 	"wfqsort/internal/hwsim"
@@ -145,8 +151,6 @@ func (s Stats) ModelSpeedup() float64 {
 }
 
 type lane struct {
-	clock    *hwsim.Clock
-	fab      *membus.Fabric
 	sorter   *core.Sorter
 	inserts  uint64
 	extracts uint64
@@ -158,32 +162,33 @@ type lane struct {
 	cycleBase uint64
 }
 
-// ShardedSorter is the multi-lane sorter. Like the single-lane circuit
-// it models, it is not safe for concurrent use by multiple callers; the
-// internal InsertBatch fan-out is the only concurrency and is fully
-// synchronized before the call returns.
+// ShardedSorter is the multi-lane sorter: the sequential cycle model.
+// Like the single-lane circuit it models, it is not safe for concurrent
+// use; every operation runs on the caller's goroutine.
 type ShardedSorter struct {
 	cfg      Config
 	lanes    []*lane
-	tree     *selectTree
+	tree     *WinnerTree
 	n        int
 	tagRange int
 	block    int // tags per lane under PartitionBlocked
 
-	combined uint64
-	batches  uint64
+	combined  uint64
+	batches   uint64
+	refreshes uint64 // head refreshes, each replaying one root path
 }
 
-// New builds an empty sharded sorter. Lanes run in the library's eager
-// reclamation mode: the min-combining tree compares head tags linearly,
-// which is exact for eager lanes (hardware-mode cyclic wraparound
-// comparison across lanes is future work, see DESIGN.md §9).
-func New(cfg Config) (*ShardedSorter, error) {
+// NewLanes builds the lanes cfg describes, one core.Sorter per lane on
+// LaneFabrics[i] or on a fresh fabric and clock. Lanes run in the
+// library's eager reclamation mode: the winner tree compares head tags
+// linearly, which is exact for eager lanes (hardware-mode cyclic
+// wraparound comparison across lanes is future work, see DESIGN.md §9).
+func NewLanes(cfg Config) ([]*core.Sorter, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	s := &ShardedSorter{cfg: cfg, tree: newSelectTree(cfg.Lanes)}
-	for i := 0; i < cfg.Lanes; i++ {
+	lanes := make([]*core.Sorter, cfg.Lanes)
+	for i := range lanes {
 		fab := membus.New(nil)
 		if cfg.LaneFabrics != nil {
 			fab = cfg.LaneFabrics[i]
@@ -198,9 +203,25 @@ func New(cfg Config) (*ShardedSorter, error) {
 		if err != nil {
 			return nil, fmt.Errorf("sharded: lane %d: %w", i, err)
 		}
-		s.lanes = append(s.lanes, &lane{clock: fab.Clock(), fab: fab, sorter: srt})
+		lanes[i] = srt
 	}
-	s.tagRange = s.lanes[0].sorter.TagRange()
+	return lanes, nil
+}
+
+// New builds an empty sharded sorter over NewLanes(cfg).
+func New(cfg Config) (*ShardedSorter, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	sorters, err := NewLanes(cfg)
+	if err != nil {
+		return nil, err
+	}
+	s := &ShardedSorter{cfg: cfg, tree: NewWinnerTree(cfg.Lanes)}
+	for _, srt := range sorters {
+		s.lanes = append(s.lanes, &lane{sorter: srt})
+	}
+	s.tagRange = sorters[0].TagRange()
 	s.block = s.tagRange / cfg.Lanes
 	return s, nil
 }
@@ -220,25 +241,24 @@ func (s *ShardedSorter) Capacity() int { return len(s.lanes) * s.cfg.LaneCapacit
 // Len returns the number of stored tags.
 func (s *ShardedSorter) Len() int { return s.n }
 
+// InterleavedLane returns the lane owning tag under
+// PartitionInterleaved: the tag's low bits, for a power-of-two lane
+// count.
+func InterleavedLane(tag, lanes int) int { return tag & (lanes - 1) }
+
 // LaneFor returns the lane owning tag under the configured partition.
 func (s *ShardedSorter) LaneFor(tag int) int {
 	if s.cfg.Partition == PartitionBlocked {
 		return tag / s.block
 	}
-	return tag & (len(s.lanes) - 1)
+	return InterleavedLane(tag, len(s.lanes))
 }
 
 // Lane exposes one lane's sorter for inspection, audit, and fault
 // campaigns (verification port; mutating it directly desynchronizes the
-// select tree — pair with ResyncHeads).
+// winner tree — pair with ResyncHead or ResyncHeads). Its fabric and
+// clock are Lane(i).Fabric() and Lane(i).Fabric().Clock().
 func (s *ShardedSorter) Lane(i int) *core.Sorter { return s.lanes[i].sorter }
-
-// LaneClock returns lane i's clock domain.
-func (s *ShardedSorter) LaneClock(i int) *hwsim.Clock { return s.lanes[i].clock }
-
-// LaneFabric returns lane i's memory fabric (for fault attachment and
-// per-bank port statistics).
-func (s *ShardedSorter) LaneFabric(i int) *membus.Fabric { return s.lanes[i].fab }
 
 // LaneLens returns each lane's occupancy.
 func (s *ShardedSorter) LaneLens() []int {
@@ -250,24 +270,20 @@ func (s *ShardedSorter) LaneLens() []int {
 }
 
 func (s *ShardedSorter) refreshHead(i int) {
+	s.refreshes++
 	if head, ok := s.lanes[i].sorter.PeekMin(); ok {
-		s.tree.update(i, head.Tag, true)
+		s.tree.Set(i, head.Tag)
 	} else {
-		s.tree.update(i, 0, false)
+		s.tree.Clear(i)
 	}
 }
 
-// ResyncHead rebuilds lane i's head register in the select tree and
-// recounts the occupancy, after out-of-band mutation of that single
-// lane (a per-lane Rebuild or Flush through Lane(i)). Unlike
-// ResyncHeads it performs memory traffic — a PeekMin through the lane's
-// fabric — on lane i only: in a one-goroutine-per-lane deployment the
-// caller repairs its own lane without touching fabrics owned by other
-// goroutines. The select tree and occupancy counter themselves are
-// single-writer state: calls must still be serialized with every other
-// top-level ShardedSorter operation (the parallel engine does not use
-// the top-level tree at all — it owns lanes directly and merges through
-// its own concurrent select tree).
+// ResyncHead rebuilds lane i's head in the winner tree and recounts the
+// occupancy, after out-of-band mutation of that single lane (a per-lane
+// Rebuild or Flush through Lane(i)). Unlike ResyncHeads it performs
+// memory traffic — a PeekMin through the lane's fabric — on lane i only.
+// Like every ShardedSorter operation it must be serialized with the
+// others.
 func (s *ShardedSorter) ResyncHead(i int) {
 	s.refreshHead(i)
 	n := 0
@@ -277,7 +293,7 @@ func (s *ShardedSorter) ResyncHead(i int) {
 	s.n = n
 }
 
-// ResyncHeads rebuilds the select tree from the live lane heads. Needed
+// ResyncHeads rebuilds the winner tree from the live lane heads. Needed
 // after out-of-band lane mutation (fault recovery via Lane(i).Rebuild,
 // test poking); normal operations keep the tree synchronized.
 func (s *ShardedSorter) ResyncHeads() {
@@ -297,7 +313,7 @@ func (s *ShardedSorter) checkTag(tag int) error {
 }
 
 // Insert stores one tag, routing it to its owning lane. Cost is one
-// lane insert window plus the leaf's root path in the select tree.
+// lane insert window plus the leaf's root path in the winner tree.
 func (s *ShardedSorter) Insert(tag, payload int) error {
 	if err := s.checkTag(tag); err != nil {
 		return err
@@ -314,13 +330,15 @@ func (s *ShardedSorter) Insert(tag, payload int) error {
 
 // InsertBatch groups the requests by owning lane — preserving arrival
 // order within each lane, so FCFS among duplicates survives — and
-// drives all lanes concurrently, one goroutine per non-empty lane. Each
-// lane respects its own 4-cycle insert window; the batch as a whole
-// costs the slowest lane's cycles (max-lane accounting, the parallel
-// hardware's wall clock). It returns that cost.
+// drives the lanes one after another in lane order. Each lane respects
+// its own 4-cycle insert window on its own clock, so the batch as a
+// whole costs the slowest lane's cycles (max-lane accounting, the
+// parallel hardware's wall clock). It returns that cost.
 //
 // The batch is validated (tag ranges, per-lane capacity) before any
-// lane is touched, so a rejected batch leaves the sorter unchanged.
+// lane is touched, so a rejected batch leaves the sorter unchanged. A
+// lane that fails mid-batch stops there while the other lanes still
+// apply theirs; the first error by lane index is returned.
 func (s *ShardedSorter) InsertBatch(reqs []Request) (maxLaneCycles uint64, err error) {
 	if len(reqs) == 0 {
 		return 0, nil
@@ -339,80 +357,63 @@ func (s *ShardedSorter) InsertBatch(reqs []Request) (maxLaneCycles uint64, err e
 				i, len(batch), free, taglist.ErrFull)
 		}
 	}
-	var wg sync.WaitGroup
-	errs := make([]error, len(s.lanes))
-	starts := make([]uint64, len(s.lanes))
 	for i, batch := range perLane {
 		if len(batch) == 0 {
 			continue
 		}
-		starts[i] = s.lanes[i].clock.Now()
-		wg.Add(1)
-		// The goroutine receives its lane and result slot as parameters
-		// (never capturing s or the lane array), so ownership of exactly
-		// one lane transfers to exactly one goroutine — the laneconfine
-		// contract the parallel datapath depends on.
-		go func(i int, ln *lane, batch []Request, errp *error) {
-			defer wg.Done()
-			for _, r := range batch {
-				if err := ln.sorter.Insert(r.Tag, r.Payload); err != nil {
-					*errp = fmt.Errorf("sharded: lane %d: insert tag %d: %w", i, r.Tag, err)
-					return
+		ln := s.lanes[i]
+		clock := ln.sorter.Fabric().Clock()
+		start := clock.Now()
+		for _, r := range batch {
+			if ierr := ln.sorter.Insert(r.Tag, r.Payload); ierr != nil {
+				if err == nil {
+					err = fmt.Errorf("sharded: lane %d: insert tag %d: %w", i, r.Tag, ierr)
 				}
-				ln.inserts++
+				break
 			}
-		}(i, s.lanes[i], batch, &errs[i])
-	}
-	wg.Wait()
-	// Deterministic post-processing in lane order: first error by lane
-	// index wins, heads refresh lowest lane first.
-	for i := range s.lanes {
-		if len(perLane[i]) == 0 {
-			continue
+			ln.inserts++
 		}
-		if delta := s.lanes[i].clock.Now() - starts[i]; delta > maxLaneCycles {
+		if delta := clock.Now() - start; delta > maxLaneCycles {
 			maxLaneCycles = delta
 		}
 		s.refreshHead(i)
 	}
 	s.batches++
-	for _, e := range errs {
-		if e != nil {
-			// A failed lane stopped mid-batch; recount from the lanes.
-			s.ResyncHeads()
-			return maxLaneCycles, e
-		}
+	if err != nil {
+		// A failed lane stopped mid-batch; recount from the lanes.
+		s.ResyncHeads()
+		return maxLaneCycles, err
 	}
 	s.n += len(reqs)
 	return maxLaneCycles, nil
 }
 
 // PeekMin returns the smallest stored tag without removing it: one read
-// of the select-tree root, then the winning lane's register-cached head.
+// of the winner-tree root, then the winning lane's register-cached head.
 func (s *ShardedSorter) PeekMin() (taglist.Entry, bool) {
-	w := s.tree.min()
-	if !w.valid {
+	w := s.tree.Min()
+	if w < 0 {
 		return taglist.Entry{}, false
 	}
-	return s.lanes[w.lane].sorter.PeekMin()
+	return s.lanes[w].sorter.PeekMin()
 }
 
-// ExtractMin removes and returns the globally smallest tag: the select
+// ExtractMin removes and returns the globally smallest tag: the winner
 // tree names the winning lane, the lane serves its head in its fixed
 // window, and the leaf's root path is replayed — fixed time in both
 // occupancy and lane count.
 func (s *ShardedSorter) ExtractMin() (taglist.Entry, error) {
-	w := s.tree.min()
-	if !w.valid {
+	w := s.tree.Min()
+	if w < 0 {
 		return taglist.Entry{}, taglist.ErrEmpty
 	}
-	e, err := s.lanes[w.lane].sorter.ExtractMin()
+	e, err := s.lanes[w].sorter.ExtractMin()
 	if err != nil {
-		return taglist.Entry{}, fmt.Errorf("sharded: lane %d: %w", w.lane, err)
+		return taglist.Entry{}, fmt.Errorf("sharded: lane %d: %w", w, err)
 	}
-	s.lanes[w.lane].extracts++
+	s.lanes[w].extracts++
 	s.n--
-	s.refreshHead(w.lane)
+	s.refreshHead(w)
 	return e, nil
 }
 
@@ -428,12 +429,12 @@ func (s *ShardedSorter) InsertExtractMin(tag, payload int) (taglist.Entry, error
 	if err := s.checkTag(tag); err != nil {
 		return taglist.Entry{}, err
 	}
-	w := s.tree.min()
-	if !w.valid {
+	w := s.tree.Min()
+	if w < 0 {
 		return taglist.Entry{}, taglist.ErrEmpty
 	}
 	in := s.LaneFor(tag)
-	if in == w.lane {
+	if in == w {
 		e, err := s.lanes[in].sorter.InsertExtractMin(tag, payload)
 		if err != nil {
 			return taglist.Entry{}, fmt.Errorf("sharded: lane %d: %w", in, err)
@@ -444,21 +445,21 @@ func (s *ShardedSorter) InsertExtractMin(tag, payload int) (taglist.Entry, error
 		s.refreshHead(in)
 		return e, nil
 	}
-	e, err := s.lanes[w.lane].sorter.ExtractMin()
+	e, err := s.lanes[w].sorter.ExtractMin()
 	if err != nil {
-		return taglist.Entry{}, fmt.Errorf("sharded: lane %d: %w", w.lane, err)
+		return taglist.Entry{}, fmt.Errorf("sharded: lane %d: %w", w, err)
 	}
-	s.lanes[w.lane].extracts++
+	s.lanes[w].extracts++
 	if err := s.lanes[in].sorter.Insert(tag, payload); err != nil {
 		// The extract already committed (hardware serves the head at
 		// window start); reflect it before surfacing the insert error.
 		s.n--
-		s.refreshHead(w.lane)
+		s.refreshHead(w)
 		return taglist.Entry{}, fmt.Errorf("sharded: lane %d: %w", in, err)
 	}
 	s.lanes[in].inserts++
 	s.combined++
-	s.refreshHead(w.lane)
+	s.refreshHead(w)
 	s.refreshHead(in)
 	return e, nil
 }
@@ -584,11 +585,11 @@ func (s *ShardedSorter) Snapshot() ([]taglist.Entry, error) {
 // of each lane's own core.CheckInvariants:
 //
 //   - every lane's live tags belong to that lane under the partition;
-//   - the select-tree root names the true global minimum;
+//   - the winner-tree root names the true global minimum;
 //   - the occupancy count equals the sum of lane occupancies.
 func (s *ShardedSorter) CheckInvariants() error {
 	total := 0
-	var trueMin headEntry
+	minLane, minTag := -1, 0
 	for i, l := range s.lanes {
 		if err := l.sorter.CheckInvariants(); err != nil {
 			return fmt.Errorf("sharded: lane %d: %w", i, err)
@@ -604,17 +605,21 @@ func (s *ShardedSorter) CheckInvariants() error {
 			}
 		}
 		total += l.sorter.Len()
-		if head, ok := l.sorter.PeekMin(); ok {
-			trueMin = better(trueMin, headEntry{tag: head.Tag, lane: i, valid: true})
+		if head, ok := l.sorter.PeekMin(); ok && (minLane < 0 || head.Tag < minTag) {
+			minLane, minTag = i, head.Tag
 		}
 	}
 	if total != s.n {
 		return fmt.Errorf("sharded: %w: lanes hold %d entries, Len is %d", hwsim.ErrCorrupt, total, s.n)
 	}
-	root := s.tree.min()
-	if root.valid != trueMin.valid || (root.valid && (root.tag != trueMin.tag || root.lane != trueMin.lane)) {
-		return fmt.Errorf("sharded: %w: select tree root (lane %d tag %d valid %v) disagrees with lane heads (lane %d tag %d valid %v)",
-			hwsim.ErrCorrupt, root.lane, root.tag, root.valid, trueMin.lane, trueMin.tag, trueMin.valid)
+	root := s.tree.Min()
+	if root != minLane || (root >= 0 && s.tree.Tag(root) != minTag) {
+		rootTag := 0
+		if root >= 0 {
+			rootTag = s.tree.Tag(root)
+		}
+		return fmt.Errorf("sharded: %w: winner tree root (lane %d tag %d) disagrees with lane heads (lane %d tag %d; lane -1 is empty)",
+			hwsim.ErrCorrupt, root, rootTag, minLane, minTag)
 	}
 	return nil
 }
@@ -625,8 +630,8 @@ func (s *ShardedSorter) StatsSnapshot() Stats {
 		Lanes:          len(s.lanes),
 		Combined:       s.combined,
 		Batches:        s.batches,
-		SelectCompares: s.tree.compares,
-		SelectDepth:    s.tree.depth(),
+		SelectCompares: s.refreshes * uint64(s.tree.Depth()),
+		SelectDepth:    s.tree.Depth(),
 		LaneLens:       make([]int, len(s.lanes)),
 		LaneInserts:    make([]uint64, len(s.lanes)),
 		LaneExtracts:   make([]uint64, len(s.lanes)),
@@ -642,7 +647,7 @@ func (s *ShardedSorter) StatsSnapshot() Stats {
 		st.Extracts += l.extracts
 		st.Removes += l.removes
 		st.Reranks += l.reranks
-		cyc := l.clock.Now() - l.cycleBase
+		cyc := l.sorter.Fabric().Clock().Now() - l.cycleBase
 		st.SumLaneCycles += cyc
 		if cyc > st.MaxLaneCycles {
 			st.MaxLaneCycles = cyc
@@ -656,11 +661,12 @@ func (s *ShardedSorter) StatsSnapshot() Stats {
 // reported relative to the reset point, like free-running hardware
 // counters snapshotted at interval boundaries.
 func (s *ShardedSorter) ResetStats() {
-	s.combined, s.batches, s.tree.compares = 0, 0, 0
+	s.combined, s.batches, s.refreshes = 0, 0, 0
 	for _, l := range s.lanes {
 		l.inserts, l.extracts, l.removes, l.reranks = 0, 0, 0, 0
-		l.cycleBase = l.clock.Now()
-		l.fab.ResetStats()
+		fab := l.sorter.Fabric()
+		l.cycleBase = fab.Clock().Now()
+		fab.ResetStats()
 		l.sorter.ResetStats()
 	}
 }

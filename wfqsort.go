@@ -170,11 +170,12 @@ func NewShardedSorter(cfg ShardedConfig) (*ShardedSorter, error) {
 	return sharded.New(cfg)
 }
 
-// Engine is the concurrent line-rate serving runtime over a
-// ShardedSorter: N producer goroutines submit through per-lane bounded
-// rings, a single datapath goroutine drains them in amortized batches
-// and serves extractions in tag order, with explicit backpressure and
-// fault containment. See internal/engine and DESIGN.md §11.
+// Engine is the concurrent line-rate serving runtime over N sorter
+// lanes: producer goroutines submit through per-lane bounded rings, one
+// datapath goroutine per lane drains its rings in batches into that
+// lane's sorter, and a merge goroutine serves the lanes' extractions in
+// global tag order through a winner tree, with explicit backpressure
+// and fault containment. See internal/engine and DESIGN.md §11 and §14.
 type Engine = engine.Engine
 
 // EngineConfig configures an Engine; the zero value is a valid 4-lane
